@@ -1,9 +1,8 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.SynthData
 import repro.datasource.LiderSearch
-import repro.retrieval.Scaled
+import repro.retrieval.{RetrievalData, Scaled}
 
 /** spark-submit entrypoint building a persisted LIDER index over an
   * embeddings Parquet (generating a synthetic corpus first if the Parquet
@@ -22,7 +21,7 @@ object BuildIndexJob {
     val spark = SparkSession.builder().appName("lider-build").getOrCreate()
     if (!new java.io.File(embPath).exists()) {
       Console.err.println(s"[build] generating $n embeddings (dim=$dim) into $embPath")
-      SynthData.embeddings(spark, n, dim).write.mode("overwrite").parquet(embPath)
+      RetrievalData.embeddings(spark, n, dim).write.mode("overwrite").parquet(embPath)
     }
     val stats = LiderSearch.buildIndex(spark, embPath, indexDir, Scaled.liderParams(n))
     Console.err.println(

@@ -12,18 +12,10 @@ final class Flat(vectors: Array[Array[Float]], ids: Array[Long]) extends AnnInde
   override def name: String = "Flat"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
-    // Bounded min-heap over all n exact scores.
-    val heap = new java.util.PriorityQueue[Scored](k + 1, TopK.ordering.reverse)
+    if (vectors.nonEmpty) VecOps.requireDim(q, vectors(0).length)
+    val top = new TopK.Collector(k)
     var i = 0
-    while (i < vectors.length) {
-      val s = VecOps.dot(q, vectors(i))
-      if (heap.size < k) heap.offer(Scored(ids(i), s))
-      else if (s > heap.peek().score) { heap.poll(); heap.offer(Scored(ids(i), s)) }
-      i += 1
-    }
-    val out = new Array[Scored](heap.size)
-    var j = out.length - 1
-    while (j >= 0) { out(j) = heap.poll(); j -= 1 }
-    out
+    while (i < vectors.length) { top.offer(ids(i), VecOps.dot(q, vectors(i))); i += 1 }
+    top.result()
   }
 }

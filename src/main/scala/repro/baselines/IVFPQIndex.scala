@@ -35,9 +35,10 @@ final class IVFPQIndex(
   }
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
+    VecOps.requireDim(q, pq.dim)
     val lut = pq.lutIP(q)
     val lists = probeLists(q)
-    val heap = new java.util.PriorityQueue[Scored](k + 1, TopK.ordering.reverse)
+    val top = new TopK.Collector(k)
     var li = 0
     while (li < lists.length) {
       val c = lists(li)
@@ -45,18 +46,10 @@ final class IVFPQIndex(
       val ids = listIds(c)
       val codes = listCodes(c)
       var i = 0
-      while (i < ids.length) {
-        val s = qDotC + pq.adc(lut, codes, i * pq.m)
-        if (heap.size < k) heap.offer(Scored(ids(i), s))
-        else if (s > heap.peek().score) { heap.poll(); heap.offer(Scored(ids(i), s)) }
-        i += 1
-      }
+      while (i < ids.length) { top.offer(ids(i), qDotC + pq.adc(lut, codes, i * pq.m)); i += 1 }
       li += 1
     }
-    val out = new Array[Scored](heap.size)
-    var j = out.length - 1
-    while (j >= 0) { out(j) = heap.poll(); j -= 1 }
-    out
+    top.result()
   }
 }
 

@@ -25,6 +25,7 @@ final class MultiProbeLSH(
   override def name: String = "FALCONN"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
+    VecOps.requireDim(q, lsh.dim)
     val seen = new java.util.HashSet[Int]()
     val cands = new scala.collection.mutable.ArrayBuffer[Int]()
     var t = 0
@@ -46,13 +47,7 @@ final class MultiProbeLSH(
       }
       t += 1
     }
-    val scored = new Array[Scored](cands.length)
-    var i = 0
-    while (i < cands.length) {
-      scored(i) = Scored(ids(cands(i)), VecOps.dot(q, vectors(cands(i))))
-      i += 1
-    }
-    TopK.topBy(scored, k)
+    TopK.verify(q, vectors, ids, cands.toArray, k)
   }
 }
 

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core.{Scored, TopK}
 import repro.kmeans.KMeans
-import repro.linalg.{PCA, Parallel}
+import repro.linalg.{PCA, Parallel, VecOps}
 
 /** PCA-PQ baseline (paper §7.1.2 baseline 4, Jégou et al. [12]): PCA
   * reduces the dimension (768 → 192 in the paper, dim → dim/4 here), then
@@ -22,19 +22,15 @@ final class PCAPQIndex(
   override def name: String = "PCA-PQ"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
+    VecOps.requireDim(q, pca.mean.length)
     val lut = pq.lutL2(pca.transform(q))
-    val heap = new java.util.PriorityQueue[Scored](k + 1, TopK.ordering.reverse)
+    val top = new TopK.Collector(k)
     var i = 0
     while (i < n) {
-      val s = -pq.adc(lut, codes, i * pq.m) // negate: smaller distance = better
-      if (heap.size < k) heap.offer(Scored(ids(i), s))
-      else if (s > heap.peek().score) { heap.poll(); heap.offer(Scored(ids(i), s)) }
+      top.offer(ids(i), -pq.adc(lut, codes, i * pq.m)) // negate: smaller distance = better
       i += 1
     }
-    val out = new Array[Scored](heap.size)
-    var j = out.length - 1
-    while (j >= 0) { out(j) = heap.poll(); j -= 1 }
-    out
+    top.result()
   }
 }
 

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core.{Scored, TopK}
 import repro.kmeans.KMeans
-import repro.linalg.Parallel
+import repro.linalg.{Parallel, VecOps}
 
 /** PQ baseline (paper §7.1.2 baseline 2): all corpus vectors encoded with
   * a product quantizer; search is a full ADC scan with inner-product
@@ -19,19 +19,12 @@ final class PQIndex(
   override def name: String = "PQ"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
+    VecOps.requireDim(q, pq.dim)
     val lut = pq.lutIP(q)
-    val heap = new java.util.PriorityQueue[Scored](k + 1, TopK.ordering.reverse)
+    val top = new TopK.Collector(k)
     var i = 0
-    while (i < n) {
-      val s = pq.adc(lut, codes, i * pq.m)
-      if (heap.size < k) heap.offer(Scored(ids(i), s))
-      else if (s > heap.peek().score) { heap.poll(); heap.offer(Scored(ids(i), s)) }
-      i += 1
-    }
-    val out = new Array[Scored](heap.size)
-    var j = out.length - 1
-    while (j >= 0) { out(j) = heap.poll(); j -= 1 }
-    out
+    while (i < n) { top.offer(ids(i), pq.adc(lut, codes, i * pq.m)); i += 1 }
+    top.result()
   }
 }
 

@@ -28,18 +28,13 @@ final class SKLSH(
   override def name: String = "SK-LSH"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
+    VecOps.requireDim(q, esklsh.lsh.dim)
     val queryKeys = esklsh.hashQuery(q)
     val starts = Array.tabulate(esklsh.numArrays)(h => esklsh.arrays(h).insertionPoint(queryKeys(h)))
     // Same total candidate budget as LIDER-style expansion: R per array.
     val total = math.max(1, r0 * k) * esklsh.numArrays
     val cands = esklsh.expandIterativeGlobal(queryKeys, starts, total)
-    val scored = new Array[Scored](cands.length)
-    var i = 0
-    while (i < cands.length) {
-      scored(i) = Scored(ids(cands(i)), VecOps.dot(q, vectors(cands(i))))
-      i += 1
-    }
-    TopK.topBy(scored, k)
+    TopK.verify(q, vectors, ids, cands, k)
   }
 }
 

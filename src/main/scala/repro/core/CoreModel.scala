@@ -67,6 +67,7 @@ final class CoreModel(
 
   /** Search plus the ESK-LSH expansion wall time in nanos (Table 3). */
   def searchDetailed(q: Array[Float], km: Int): (Array[Scored], Long) = {
+    VecOps.requireDim(q, esklsh.lsh.dim)
     if (size == 0) return (Array.empty[Scored], 0L)
     val queryKeys = esklsh.hashQuery(q)
     val starts = Array.tabulate(esklsh.numArrays)(h => predictStart(h, queryKeys(h)))
@@ -77,28 +78,9 @@ final class CoreModel(
     (verify(q, cands, km), expandNanos)
   }
 
-  /** Candidate verification: exact scores, top-k_m descending. Scoring is
-    * parallel for large candidate sets (paper-scale budgets put thousands
-    * of exact dot products here — the dominant per-query stage) and
-    * serial below the dispatch-amortization threshold.
-    */
-  def verify(q: Array[Float], candidateIdx: Array[Int], km: Int): Array[Scored] = {
-    val scored = new Array[Scored](candidateIdx.length)
-    if (candidateIdx.length.toLong * vectors(0).length >= 131072L) {
-      Parallel.foreachRange(candidateIdx.length) { i =>
-        val idx = candidateIdx(i)
-        scored(i) = Scored(globalIds(idx), VecOps.dot(q, vectors(idx)))
-      }
-    } else {
-      var i = 0
-      while (i < candidateIdx.length) {
-        val idx = candidateIdx(i)
-        scored(i) = Scored(globalIds(idx), VecOps.dot(q, vectors(idx)))
-        i += 1
-      }
-    }
-    TopK.topBy(scored, km)
-  }
+  /** Candidate verification: exact scores, top-k_m descending. */
+  def verify(q: Array[Float], candidateIdx: Array[Int], km: Int): Array[Scored] =
+    TopK.verify(q, vectors, globalIds, candidateIdx, km)
 }
 
 object CoreModel {

@@ -57,8 +57,12 @@ final class Lider(
     * cluster search costs ~20 µs, far below the ~0.3 ms dispatch cost, so
     * small-budget queries sweep the target clusters serially (same knob
     * as [[repro.esklsh.ESKLSH.MinParallelWork]]).
+    *
+    * k ≤ 0 or a query whose length is not the index dimension (checked by
+    * the centroids retriever) fails with an `IllegalArgumentException`.
     */
   def search(q: Array[Float], k: Int, c0Override: Int = -1): Array[Scored] = {
+    require(k > 0, s"k must be positive, got $k")
     val c0 = if (c0Override > 0) c0Override else params.c0
     val targets = targetClusters(q, c0)
     val cc = params.clusterCore

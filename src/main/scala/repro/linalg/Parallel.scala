@@ -1,6 +1,5 @@
 package repro.linalg
 
-import java.util.concurrent.ThreadLocalRandom
 import java.util.stream.IntStream
 
 /** Tiny wrappers over Java parallel streams used by the in-memory index
@@ -21,15 +20,4 @@ object Parallel {
   /** Parallel foreach over [0, n). `f` must be thread-safe. */
   def foreachRange(n: Int)(f: Int => Unit): Unit =
     IntStream.range(0, n).parallel().forEach(i => f(i))
-
-  /** Sequential foreach — used where determinism of side-effect order
-    * matters; keeps call sites symmetrical with [[foreachRange]].
-    */
-  def foreachRangeSeq(n: Int)(f: Int => Unit): Unit = {
-    var i = 0
-    while (i < n) { f(i); i += 1 }
-  }
-
-  /** Thread-local RNG helper for parallel sampling loops. */
-  def rng(): ThreadLocalRandom = ThreadLocalRandom.current()
 }

@@ -16,6 +16,10 @@ object VecOps {
     s
   }
 
+  /** Rejects a query whose length is not the index dimension `dim`. */
+  def requireDim(q: Array[Float], dim: Int): Unit =
+    require(q.length == dim, s"query has ${q.length} dimensions, the index has $dim")
+
   /** Euclidean (L2) norm. */
   def norm(a: Array[Float]): Double = math.sqrt(dot(a, a))
 

@@ -63,19 +63,15 @@ object Hashkey {
     */
   def kdExtended(k1: Long, k2: Long, m: Int, b: Int): Long = {
     if (k1 == k2) return 0L
-    val l = commonPrefixLen(k1, k2, m)
-    var v1 = 0L; var v2 = 0L
-    var j = 0
-    while (j < b) {
-      val pos = l + j
-      val b1 = if (pos < m) bitAt(k1, pos, m) else 0
-      val b2 = if (pos < m) bitAt(k2, pos, m) else 0
-      v1 = (v1 << 1) | b1
-      v2 = (v2 << 1) | b2
-      j += 1
-    }
-    math.abs(v1 - v2)
+    // Bits l … l+b−1 of the key sit at m−l−b … m−l−1 from the LSB; a
+    // negative shift moves them up, leaving zeros past the key's end.
+    val shift = m - commonPrefixLen(k1, k2, m) - b
+    val mask = (1L << b) - 1
+    math.abs(window(k1, shift, mask) - window(k2, shift, mask))
   }
+
+  private def window(key: Long, shift: Int, mask: Long): Long =
+    (if (shift >= 0) key >>> shift else key << -shift) & mask
 
   /** Original SK-LSH hashkey distance (paper Eq. 4) with C = 2 for binary
     * hash values (any C > max KD = 1 works; the value only needs to keep

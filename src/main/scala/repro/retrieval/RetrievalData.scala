@@ -1,5 +1,6 @@
 package repro.retrieval
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.linalg.VecOps
 import scala.util.Random
 
@@ -133,6 +134,16 @@ object RetrievalData {
       }
     }
     Corpus(vectors, dim)
+  }
+
+  /** [[corpus]] as a DataFrame `(id, emb)`: the Parquet-facing view used by
+    * the LIDER DataSource V2 build path and its tests. Same (n, dim, seed)
+    * gives identical vectors driver-side and Spark-side.
+    */
+  def embeddings(spark: SparkSession, n: Int, dim: Int = 64, seed: Long = 0): DataFrame = {
+    import spark.implicits._
+    val rows = corpus(n, dim, seed).vectors.zipWithIndex.map { case (v, i) => (i.toLong, v) }.toSeq
+    spark.createDataset(rows).toDF("id", "emb")
   }
 
   private def trecQueryVectors(dim: Int, seed: Long, centers: Array[Array[Float]]): Array[Array[Float]] =

@@ -3,12 +3,13 @@ package repro
 import org.apache.spark.sql.functions._
 import repro.retrieval.RetrievalData
 
-/** Spark-side view of the synthetic embedding corpus + oracle checks of
-  * the relational plumbing the benches rely on.
+/** Spark-side view of the synthetic embedding corpus
+  * ([[RetrievalData.embeddings]]) + oracle checks of the relational
+  * plumbing the benches rely on.
   */
 class SynthDataSpec extends SparkSpec {
 
-  private lazy val df = SynthData.embeddings(spark, n = 500, dim = 16, seed = 5).cache()
+  private lazy val df = RetrievalData.embeddings(spark, n = 500, dim = 16, seed = 5).cache()
 
   test("embeddings DataFrame has (id, emb) with one row per passage") {
     assert(df.columns.toSeq == Seq("id", "emb"))
@@ -47,20 +48,8 @@ class SynthDataSpec extends SparkSpec {
     assert(math.abs(norms.getDouble(1) - 1.0) < 1e-3)
   }
 
-  test("tpch-lite lineitem aggregate matches DuckDB (provided generator still sound)") {
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val got = li.groupBy(col("l_returnflag") as "flag")
-      .agg(count(lit(1)) as "cnt", round(sum(col("l_quantity")), 2) as "qty")
-    Oracle.assertEquivalent(
-      got,
-      """SELECT l_returnflag AS flag, count(*) AS cnt,
-        |       round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li.select("l_returnflag", "l_quantity"))
-  }
-
   test("embedding generation via Spark is deterministic") {
-    val again = SynthData.embeddings(spark, 500, 16, seed = 5)
+    val again = RetrievalData.embeddings(spark, 500, 16, seed = 5)
     assert(df.orderBy("id").collect().map(_.getSeq[Float](1)).toSeq ==
       again.orderBy("id").collect().map(_.getSeq[Float](1)).toSeq)
   }

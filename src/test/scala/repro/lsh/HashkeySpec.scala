@@ -76,6 +76,37 @@ class HashkeySpec extends AnyFunSuite with PropertySupport {
     assert(Hashkey.kdExtended(a, b, 4, 3) == 4) // |000 - 100| = 4
   }
 
+  /** KD_e by its definition: read both b-bit windows bit by bit. */
+  private def kdExtendedByBits(k1: Long, k2: Long, m: Int, b: Int): Long = {
+    if (k1 == k2) return 0L
+    val l = Hashkey.commonPrefixLen(k1, k2, m)
+    var v1 = 0L; var v2 = 0L
+    for (pos <- l until l + b) {
+      v1 = (v1 << 1) | (if (pos < m) Hashkey.bitAt(k1, pos, m) else 0)
+      v2 = (v2 << 1) | (if (pos < m) Hashkey.bitAt(k2, pos, m) else 0)
+    }
+    math.abs(v1 - v2)
+  }
+
+  test("KD_e equals the bit-by-bit window definition for m <= 62 and B in 1..8") {
+    // k2 shares k1's first l bits and differs at bit l, so every prefix
+    // length is drawn, including windows that run past the key's end.
+    val gen = for {
+      m <- Gen.choose(1, Hashkey.MaxLen); bWin <- Gen.choose(1, 8)
+      k1 <- keyGen(m); l <- Gen.choose(0, m); tail <- keyGen(m)
+    } yield {
+      if (l == m) (m, bWin, k1, k1)
+      else {
+        val flip = 1L << (m - 1 - l) // bit l, counted from the most significant
+        val after = flip - 1 // the bits after it
+        (m, bWin, k1, (k1 & ~(flip | after)) | (~k1 & flip) | (tail & after))
+      }
+    }
+    checkProp(Prop.forAll(gen) { case (m, bWin, k1, k2) =>
+      Hashkey.kdExtended(k1, k2, m, bWin) == kdExtendedByBits(k1, k2, m, bWin)
+    }, minSuccessful = 2000)
+  }
+
   test("KD_e is bounded by 2^B - 1") {
     checkProp(Prop.forAll(for {
       m <- mGen; bWin <- Gen.choose(1, 6)
