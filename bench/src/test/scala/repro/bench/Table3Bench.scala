@@ -5,8 +5,8 @@ import repro.experiments.{Table3Experiment, Table3Result}
 
 /** Regenerates Table 3 (H sweep on a standalone core model, MS-1M) and
   * asserts the paper's shape: more arrays → better quality, with
-  * expansion time growing far sublinearly in H (the §4.3 per-array
-  * parallelism claim).
+  * expansion time bounded as H doubles (the §4.3 per-array parallelism
+  * claim; the paper measures 1.3× for 32 → 64).
   */
 class Table3Bench extends AnyFunSuite with BenchSupport {
 
@@ -27,12 +27,11 @@ class Table3Bench extends AnyFunSuite with BenchSupport {
     assert(row(48).mrr >= row(32).mrr - 0.01)
   }
 
-  test("expansion time grows sublinearly in H (parallel arrays)") {
-    // Doubling H from 32 to 64 must cost well under 2x expansion time on a
-    // machine with spare cores (the paper measures 1.3x on 28 cores; our
-    // ~16-core container leaves less headroom at H = 64, so the bound is
-    // looser than the paper's ratio but still sublinear in wall time
-    // relative to the serial 2x).
+  test("doubling H from 32 to 64 costs under 2.5x expansion time (parallel arrays)") {
+    // The paper measures 1.3x on 28 cores. With few cores there is little
+    // headroom for 64 parallel arrays, so the ratio can reach the serial 2x
+    // (recorded: 2.03x on 4 vCPUs); the bound catches expansion that grows
+    // worse than linearly in H.
     assert(row(64).avgExpansionMillis < row(32).avgExpansionMillis * 2.5,
       s"${row(32).avgExpansionMillis} → ${row(64).avgExpansionMillis}")
   }

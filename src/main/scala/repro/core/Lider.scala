@@ -87,7 +87,10 @@ object Lider {
     *
     * Stage 1: k-means (trained on a bounded sample, full parallel
     * assignment — mirrors the paper's note that FAISS-style accelerated
-    * clustering is acceptable for this stage). Stage 2: centroids
+    * clustering is acceptable for this stage). Its distance loops are
+    * lane-per-pair kernels over transposed double tables, which the JIT
+    * vectorises; each lane sums in `VecOps.sqDist`'s order, so the clusters
+    * are bit-identical to a per-pair loop's (see [[KMeansModel]]). Stage 2: centroids
     * retriever. Stage 3: all in-cluster retrievers, built in parallel
     * (independent clusters). Returns stage wall times for Table 5.
     */

@@ -20,4 +20,15 @@ object Parallel {
   /** Parallel foreach over [0, n). `f` must be thread-safe. */
   def foreachRange(n: Int)(f: Int => Unit): Unit =
     IntStream.range(0, n).parallel().forEach(i => f(i))
+
+  /** Parallel foreach over the blocks `[lo, hi)` of at most `block` indices
+    * that tile [0, n); one call per block. `f` must be thread-safe.
+    */
+  def foreachBlock(n: Int, block: Int)(f: (Int, Int) => Unit): Unit = {
+    val blocks = if (n <= 0) 0 else (n - 1) / block + 1
+    IntStream.range(0, blocks).parallel().forEach { b =>
+      val lo = b * block
+      f(lo, lo + math.min(block, n - lo))
+    }
+  }
 }
