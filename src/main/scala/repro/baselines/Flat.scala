@@ -12,7 +12,7 @@ final class Flat(vectors: Array[Array[Float]], ids: Array[Long]) extends AnnInde
   override def name: String = "Flat"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
-    if (vectors.nonEmpty) VecOps.requireDim(q, vectors(0).length)
+    if (vectors.nonEmpty) VecOps.requireQuery(q, vectors(0).length)
     val top = new TopK.Collector(k)
     var i = 0
     while (i < vectors.length) { top.offer(ids(i), VecOps.dot(q, vectors(i))); i += 1 }

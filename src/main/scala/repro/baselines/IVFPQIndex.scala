@@ -35,7 +35,7 @@ final class IVFPQIndex(
   }
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
-    VecOps.requireDim(q, pq.dim)
+    VecOps.requireQuery(q, pq.dim)
     val lut = pq.lutIP(q)
     val lists = probeLists(q)
     val top = new TopK.Collector(k)

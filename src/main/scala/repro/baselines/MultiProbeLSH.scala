@@ -25,13 +25,13 @@ final class MultiProbeLSH(
   override def name: String = "FALCONN"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
-    VecOps.requireDim(q, lsh.dim)
+    VecOps.requireQuery(q, lsh.dim)
     val seen = new java.util.HashSet[Int]()
     val cands = new scala.collection.mutable.ArrayBuffer[Int]()
     var t = 0
     while (t < tables.length) {
-      val key = lsh.hash(q, t)
       val margins = lsh.margins(q, t)
+      val key = lsh.key(margins)
       val probeKeys = MultiProbeLSH.probeSequence(key, margins, lsh.keyLen, probesPerTable)
       var p = 0
       while (p < probeKeys.length) {

@@ -22,7 +22,7 @@ final class PCAPQIndex(
   override def name: String = "PCA-PQ"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
-    VecOps.requireDim(q, pca.mean.length)
+    VecOps.requireQuery(q, pca.mean.length)
     val lut = pq.lutL2(pca.transform(q))
     val top = new TopK.Collector(k)
     var i = 0

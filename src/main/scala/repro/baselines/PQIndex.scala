@@ -19,7 +19,7 @@ final class PQIndex(
   override def name: String = "PQ"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
-    VecOps.requireDim(q, pq.dim)
+    VecOps.requireQuery(q, pq.dim)
     val lut = pq.lutIP(q)
     val top = new TopK.Collector(k)
     var i = 0

@@ -28,7 +28,7 @@ final class SKLSH(
   override def name: String = "SK-LSH"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
-    VecOps.requireDim(q, esklsh.lsh.dim)
+    VecOps.requireQuery(q, esklsh.lsh.dim)
     val queryKeys = esklsh.hashQuery(q)
     val starts = Array.tabulate(esklsh.numArrays)(h => esklsh.arrays(h).insertionPoint(queryKeys(h)))
     // Same total candidate budget as LIDER-style expansion: R per array.

@@ -62,16 +62,34 @@ final class CoreModel(
     * verify candidates by exact score and keep the top k_m (sorted
     * descending — the in-cluster retrievers sort so LIDER's merge stage
     * can run a heap merge, §6.2).
+    *
+    * When R ≥ the model's size every array's walk takes every member, so
+    * the members are verified directly and hashing, prediction and
+    * expansion are skipped: the candidate set is the same, and the
+    * collector's strict total order makes the top k independent of the
+    * order candidates arrive in.
     */
   def search(q: Array[Float], km: Int): Array[Scored] = searchDetailed(q, km)._1
 
   /** Search plus the ESK-LSH expansion wall time in nanos (Table 3). */
   def searchDetailed(q: Array[Float], km: Int): (Array[Scored], Long) = {
-    VecOps.requireDim(q, esklsh.lsh.dim)
-    if (size == 0) return (Array.empty[Scored], 0L)
-    val queryKeys = esklsh.hashQuery(q)
-    val starts = Array.tabulate(esklsh.numArrays)(h => predictStart(h, queryKeys(h)))
+    VecOps.requireQuery(q, esklsh.lsh.dim)
+    searchHashed(q, km, null, 0)
+  }
+
+  /** [[searchDetailed]] for a query already checked and, unless `longKeys`
+    * is null, already hashed under a plane set of key length `longLen`
+    * that this model's planes are a prefix of: each of this model's keys
+    * is then the leading `keyLen` bits of that key.
+    */
+  private[core] def searchHashed(
+      q: Array[Float], km: Int, longKeys: Array[Long], longLen: Int): (Array[Scored], Long) = {
     val range = math.max(1, r0 * km)
+    if (range >= size) return (verify(q, Array.range(0, size), km), 0L)
+    val queryKeys =
+      if (longKeys == null) esklsh.hashQuery(q)
+      else Array.tabulate(longKeys.length)(h => longKeys(h) >>> (longLen - esklsh.keyLen))
+    val starts = Array.tabulate(esklsh.numArrays)(h => predictStart(h, queryKeys(h)))
     val t0 = System.nanoTime()
     val cands = esklsh.expandAll(queryKeys, starts, range)
     val expandNanos = System.nanoTime() - t0

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.kmeans.{KMeans, KMeansModel}
 import repro.linalg.Parallel
+import repro.lsh.RandomHyperplaneLSH
 
 /** Parameters of the full two-layer LIDER (paper §3.2 / §7.2.1 defaults,
   * scaled — see DESIGN.md §5).
@@ -39,6 +40,21 @@ final class Lider(
     val params: LiderParams)
     extends Serializable {
 
+  /** The longest in-cluster plane set. [[Lider.build]] gives every cluster
+    * a prefix of one shared set, and a loaded index must too: a query is
+    * hashed once under this set, and each cluster takes its keys' leading
+    * bits.
+    */
+  private val queryLsh: RandomHyperplaneLSH = {
+    val present = inClusterRetrievers.filter(_ != null)
+    require(present.nonEmpty, "LIDER needs at least one non-empty cluster")
+    val longest = present.maxBy(_.esklsh.keyLen).esklsh.lsh
+    for (cid <- inClusterRetrievers.indices; cm = inClusterRetrievers(cid); if cm != null)
+      require(cm.esklsh.lsh.isPrefixOf(longest),
+        s"cluster $cid's hyperplanes are not a prefix of the shared set of the other clusters")
+    longest
+  }
+
   def numClusters: Int = inClusterRetrievers.length
 
   /** The c0 target cluster ids for a query (layer-1 retrieval). */
@@ -49,29 +65,33 @@ final class Lider(
       .filter(cid => inClusterRetrievers(cid) != null)
 
   /** Full ANN query (§3.3.2): centroids retrieval → in-cluster retrieval
-    * (k_m = k per cluster) → heap-merge to the global top-k.
+    * (k_m = k per cluster) → heap-merge to the global top-k. The query is
+    * hashed once, under the shared plane set; each in-cluster search is
+    * [[CoreModel.search]] on those keys' leading bits.
     *
     * In-cluster retrievers are independent and run concurrently (the
     * paper's between-cluster parallelism) — but only when the total
     * expansion work amortizes thread dispatch; at our ×1/100 scale a
-    * cluster search costs ~20 µs, far below the ~0.3 ms dispatch cost, so
-    * small-budget queries sweep the target clusters serially (same knob
-    * as [[repro.esklsh.ESKLSH.MinParallelWork]]).
+    * cluster search costs about 30 µs (`ms-k10-1c`: clusters of ~200
+    * vectors, k = 10, 4-vCPU Xeon), far below the ~0.3 ms dispatch cost,
+    * so small-budget queries sweep the target clusters serially (same
+    * knob as [[repro.esklsh.ESKLSH.MinParallelWork]]).
     *
-    * k ≤ 0 or a query whose length is not the index dimension (checked by
-    * the centroids retriever) fails with an `IllegalArgumentException`.
+    * k ≤ 0, or a query whose length is not the index dimension or that
+    * has a non-finite component (checked by the centroids retriever),
+    * fails with an `IllegalArgumentException`.
     */
   def search(q: Array[Float], k: Int, c0Override: Int = -1): Array[Scored] = {
     require(k > 0, s"k must be positive, got $k")
     val c0 = if (c0Override > 0) c0Override else params.c0
     val targets = targetClusters(q, c0)
+    val keys = queryLsh.hashAll(q)
+    def inCluster(i: Int) = inClusterRetrievers(targets(i)).searchHashed(q, k, keys, queryLsh.keyLen)._1
     val cc = params.clusterCore
     val totalWork = targets.length.toLong * cc.numArrays * cc.r0 * k
     val perCluster =
-      if (totalWork >= Lider.MinParallelWork)
-        Parallel.tabulate(targets.length)(i => inClusterRetrievers(targets(i)).search(q, k))
-      else
-        Array.tabulate(targets.length)(i => inClusterRetrievers(targets(i)).search(q, k))
+      if (totalWork >= Lider.MinParallelWork) Parallel.tabulate(targets.length)(inCluster)
+      else Array.tabulate(targets.length)(inCluster)
     TopK.mergeSorted(perCluster, k)
   }
 }

@@ -40,7 +40,9 @@ object TopK {
   }
 
   /** Exact verification (§3.3.1 step 5): scores rows `candidates` of
-    * `vectors` against `q` by inner product and keeps the best k.
+    * `vectors` against `q` by inner product and keeps the best k. Scores
+    * come from [[VecOps.dots]], four candidates per pass, with the bits of
+    * one [[VecOps.dot]] per candidate.
     */
   def verify(
       q: Array[Float],
@@ -48,13 +50,15 @@ object TopK {
       ids: Array[Long],
       candidates: Array[Int],
       k: Int): Array[Scored] = {
-    val top = new Collector(k)
+    val n = candidates.length
+    val rows = new Array[Array[Float]](n)
     var i = 0
-    while (i < candidates.length) {
-      val c = candidates(i)
-      top.offer(ids(c), VecOps.dot(q, vectors(c)))
-      i += 1
-    }
+    while (i < n) { rows(i) = vectors(candidates(i)); i += 1 }
+    val scores = new Array[Double](n)
+    VecOps.dots(q, rows, n, scores)
+    val top = new Collector(k)
+    i = 0
+    while (i < n) { top.offer(ids(candidates(i)), scores(i)); i += 1 }
     top.result()
   }
 

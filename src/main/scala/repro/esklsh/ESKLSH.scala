@@ -38,20 +38,19 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
     // frontier r at the next position. `start` itself is consumed first via r.
     var r = math.min(n - 1, math.max(0, start))
     var l = r - 1
+    // Each frontier's dist_e is computed once, when that frontier moves.
+    var dl = if (l >= 0) Hashkey.distExtended(arr.key(l), queryKey, arr.m, b) else 0.0
+    var dr = Hashkey.distExtended(arr.key(r), queryKey, arr.m, b)
     var filled = 0
     while (filled < take) {
-      val leftOk = l >= 0
-      val rightOk = r < n
-      val takeLeft =
-        if (!rightOk) true
-        else if (!leftOk) false
-        else {
-          val dl = Hashkey.distExtended(arr.key(l), queryKey, arr.m, b)
-          val dr = Hashkey.distExtended(arr.key(r), queryKey, arr.m, b)
-          dl < dr
-        }
-      if (takeLeft) { out(filled) = arr.ids(l); l -= 1 }
-      else { out(filled) = arr.ids(r); r += 1 }
+      val takeLeft = r >= n || (l >= 0 && dl < dr)
+      if (takeLeft) {
+        out(filled) = arr.ids(l); l -= 1
+        if (l >= 0) dl = Hashkey.distExtended(arr.key(l), queryKey, arr.m, b)
+      } else {
+        out(filled) = arr.ids(r); r += 1
+        if (r < n) dr = Hashkey.distExtended(arr.key(r), queryKey, arr.m, b)
+      }
       filled += 1
     }
     out
@@ -63,12 +62,12 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
     *
     * Arrays are independent, so they *can* run concurrently — but thread
     * dispatch costs ~0.3 ms on this JVM, while one array's expansion at
-    * our ×1/100 scale costs ~10 µs (the paper's arrays hold millions of
-    * string hashkeys, ours thousands of packed Longs). Below
-    * [[ESKLSH.MinParallelWork]] total steps the sweep therefore runs as a
-    * serial loop; at paper-scale budgets (e.g. Table 3: H ≥ 32, R = 300)
-    * the parallel path engages and shows the paper's sublinear-in-H wall
-    * time.
+    * our ×1/100 scale, dedupe included, costs about 0.7 µs at R = 30 and
+    * 2 µs at R = 300 (`ms-k10-1c` and `wiki-k100-1c` traces, 4-vCPU Xeon;
+    * the paper's arrays hold millions of string hashkeys, ours hundreds of
+    * packed Longs). Below [[ESKLSH.MinParallelWork]] total steps the sweep
+    * therefore runs as a serial loop; at paper-scale budgets (e.g.
+    * Table 3: H ≥ 32, R = 300) the parallel path engages.
     */
   def expandAll(queryKeys: Array[Long], starts: Array[Int], range: Int): Array[Int] = {
     val totalWork = arrays.length.toLong * math.min(range, size)
@@ -122,17 +121,28 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
     out.distinct.toArray
   }
 
+  /** The ids of all arrays in first-seen order, each once. Ids are local
+    * positions `0 until size`, so one flag per vector marks them seen.
+    */
   private def distinct(perArray: Array[Array[Int]]): Array[Int] = {
-    val seen = new java.util.HashSet[Int]()
-    val out = new scala.collection.mutable.ArrayBuffer[Int]()
+    var raw = 0
     var h = 0
+    while (h < perArray.length) { raw = math.min(size, raw + perArray(h).length); h += 1 }
+    val seen = new Array[Boolean](size)
+    val out = new Array[Int](raw)
+    var n = 0
+    h = 0
     while (h < perArray.length) {
       val a = perArray(h)
       var i = 0
-      while (i < a.length) { if (seen.add(a(i))) out += a(i); i += 1 }
+      while (i < a.length) {
+        val id = a(i)
+        if (!seen(id)) { seen(id) = true; out(n) = id; n += 1 }
+        i += 1
+      }
       h += 1
     }
-    out.toArray
+    java.util.Arrays.copyOf(out, n)
   }
 }
 

@@ -16,9 +16,40 @@ object VecOps {
     s
   }
 
-  /** Rejects a query whose length is not the index dimension `dim`. */
-  def requireDim(q: Array[Float], dim: Int): Unit =
+  /** `out(i) = dot(a, rows(i))` for `i < n`, four rows per pass. Each row
+    * keeps its own accumulator and sums in [[dot]]'s order, so every value
+    * has [[dot]]'s bits; the four independent add chains overlap instead of
+    * waiting on one another, and so do the four rows' cache misses.
+    */
+  def dots(a: Array[Float], rows: Array[Array[Float]], n: Int, out: Array[Double]): Unit = {
+    var i = 0
+    while (i + 4 <= n) {
+      val b0 = rows(i); val b1 = rows(i + 1); val b2 = rows(i + 2); val b3 = rows(i + 3)
+      var s0 = 0.0; var s1 = 0.0; var s2 = 0.0; var s3 = 0.0
+      var j = 0
+      while (j < a.length) {
+        val x = a(j).toDouble
+        s0 += x * b0(j); s1 += x * b1(j); s2 += x * b2(j); s3 += x * b3(j)
+        j += 1
+      }
+      out(i) = s0; out(i + 1) = s1; out(i + 2) = s2; out(i + 3) = s3
+      i += 4
+    }
+    while (i < n) { out(i) = dot(a, rows(i)); i += 1 }
+  }
+
+  /** Rejects a query whose length is not the index dimension `dim`, or
+    * that has a `NaN` or infinite component (it would hash to arbitrary
+    * bits and score `NaN` against every vector).
+    */
+  def requireQuery(q: Array[Float], dim: Int): Unit = {
     require(q.length == dim, s"query has ${q.length} dimensions, the index has $dim")
+    var i = 0
+    while (i < q.length) {
+      if (!java.lang.Float.isFinite(q(i))) throw new IllegalArgumentException(s"query component $i is ${q(i)}")
+      i += 1
+    }
+  }
 
   /** Euclidean (L2) norm. */
   def norm(a: Array[Float]): Double = math.sqrt(dot(a, a))

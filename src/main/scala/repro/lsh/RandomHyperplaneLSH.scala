@@ -25,13 +25,16 @@ final class RandomHyperplaneLSH private[lsh] (
   require(keyLen <= Hashkey.MaxLen, s"keyLen $keyLen > ${Hashkey.MaxLen}")
 
   /** The packed hashkey of `v` under compound function `h`. */
-  def hash(v: Array[Float], h: Int): Long = {
-    val ps = planes(h)
+  def hash(v: Array[Float], h: Int): Long = key(margins(v, h))
+
+  /** The packed hashkey of one function's margins: bit i is
+    * `margins(i) ≥ 0`, the first plane's bit most significant.
+    */
+  def key(margins: Array[Double]): Long = {
     var key = 0L
     var i = 0
     while (i < keyLen) {
-      val bit = if (VecOps.dot(v, ps(i)) >= 0.0) 1L else 0L
-      key = (key << 1) | bit
+      key = (key << 1) | (if (margins(i) >= 0.0) 1L else 0L)
       i += 1
     }
     key
@@ -41,11 +44,29 @@ final class RandomHyperplaneLSH private[lsh] (
   def hashAll(v: Array[Float]): Array[Long] =
     Array.tabulate(numKeys)(h => hash(v, h))
 
-  /** Signed margins v·r_i of `v` under function `h` — used by the
-    * multi-probe LSH baseline to rank which bits to flip first.
+  /** Signed margins v·r_i of `v` under function `h`, from
+    * [[VecOps.dots]]: their signs are the hashkey's bits ([[key]]), and the
+    * multi-probe LSH baseline ranks which bits to flip first by them.
     */
-  def margins(v: Array[Float], h: Int): Array[Double] =
-    Array.tabulate(keyLen)(i => VecOps.dot(v, planes(h)(i)))
+  def margins(v: Array[Float], h: Int): Array[Double] = {
+    val out = new Array[Double](keyLen)
+    VecOps.dots(v, planes(h), keyLen, out)
+    out
+  }
+
+  /** True when every hyperplane of this set is, by value, the plane at the
+    * same place in `longer`: same dimension and function count, and each
+    * function's planes a prefix of `longer`'s. A key of this set is then
+    * the leading `keyLen` bits of the key under `longer`.
+    */
+  def isPrefixOf(longer: RandomHyperplaneLSH): Boolean =
+    dim == longer.dim && numKeys == longer.numKeys && keyLen <= longer.keyLen &&
+      (0 until numKeys).forall { h =>
+        (0 until keyLen).forall { i =>
+          val p = planes(h)(i); val o = longer.planes(h)(i)
+          (p eq o) || java.util.Arrays.equals(p, o)
+        }
+      }
 
   /** A view with the first `m` hyperplanes per compound function. The
     * per-bit plane vectors (the heavy arrays) are *shared*, which is how

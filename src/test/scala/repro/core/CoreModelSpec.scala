@@ -77,6 +77,21 @@ class CoreModelSpec extends AnyFunSuite {
     assert(res.length == 10 && nanos > 0)
   }
 
+  test("search equals the composition of the public calls just below, at and above full cover") {
+    // 61 vectors and r0 = 3: k = 20 expands R = 60, one short of every
+    // member, which one or two arrays leave out; k = 21 covers them all.
+    val small = CoreModel.build(corpus.vectors.take(61), corpus.ids.take(61), CoreModelParams(numArrays = 1, rmiWidth = 2))
+    val two = CoreModel.build(corpus.vectors.take(61), corpus.ids.take(61), CoreModelParams(numArrays = 2, rmiWidth = 2))
+    def bits(a: Array[Scored]) = a.map(s => (s.id, java.lang.Double.doubleToRawLongBits(s.score))).toSeq
+    for (m <- Seq(small, two); k <- Seq(19, 20, 21, 40); i <- 0 until 40) {
+      val q = corpus.vectors(100 + i)
+      val keys = m.esklsh.hashQuery(q)
+      val starts = Array.tabulate(m.esklsh.numArrays)(h => m.predictStart(h, keys(h)))
+      val composed = m.verify(q, m.esklsh.expandAll(keys, starts, m.r0 * k), k)
+      assert(bits(m.search(q, k)) == bits(composed), s"H = ${m.esklsh.numArrays}, k = $k, query $i")
+    }
+  }
+
   test("rescaleKeys=false trains on raw decimal keys (ablation path)") {
     val raw = CoreModel.build(corpus.vectors, corpus.ids, CoreModelParams(numArrays = 2, rescaleKeys = false))
     assert(!raw.rescaleKeys)

@@ -92,6 +92,56 @@ class LiderSpec extends AnyFunSuite {
     lider.search(q, 10).foreach(s => assert(targets.contains(memberOf(s.id.toInt))))
   }
 
+  private def bits(a: Array[Scored]) = a.map(s => (s.id, java.lang.Double.doubleToRawLongBits(s.score))).toSeq
+
+  test("search equals the per-cluster composition of the public calls, with and without full cover") {
+    val rnd = new scala.util.Random(5)
+    val queries = Array.tabulate(25)(i =>
+      repro.linalg.VecOps.normalized(corpus.vectors(i * 37).map(x => x + rnd.nextGaussian().toFloat * 0.2f)))
+    val sizes = lider.inClusterRetrievers.filter(_ != null).map(_.size)
+    var covered, expanded = 0
+    // r0·k against cluster sizes of about 100: k = 1 and 10 expand every
+    // cluster, k = 40 covers some, k = 200 covers all and fans out.
+    for (k <- Seq(1, 10, sizes.min / 3 + 1, 40, sizes.max / 3 + 1, 200); q <- queries) {
+      val perCluster = lider.targetClusters(q, params.c0).map { cid =>
+        val cm = lider.inClusterRetrievers(cid)
+        val range = math.max(1, cm.r0 * k)
+        if (range >= cm.size) covered += 1 else expanded += 1
+        val keys = cm.esklsh.hashQuery(q)
+        val starts = Array.tabulate(cm.esklsh.numArrays)(h => cm.predictStart(h, keys(h)))
+        cm.verify(q, cm.esklsh.expandAll(keys, starts, range), k)
+      }
+      assert(bits(lider.search(q, k)) == bits(TopK.mergeSorted(perCluster, k)), s"k = $k")
+    }
+    assert(covered > 0 && expanded > 0, s"covered $covered, expanded $expanded")
+  }
+
+  test("a cluster whose hyperplanes are not a prefix of the shared set is rejected by name") {
+    val clusters = lider.inClusterRetrievers.clone()
+    // The last cluster of the shortest key length is never the one the
+    // others are checked against.
+    val present = clusters.indices.filter(clusters(_) != null)
+    val cid = present.filter(c => clusters(c).esklsh.keyLen == present.map(clusters(_).esklsh.keyLen).min).last
+    val own = clusters(cid)
+    clusters(cid) = CoreModel.build(own.vectors, own.globalIds, params.clusterCore.copy(seed = 99))
+    val e = intercept[IllegalArgumentException](new Lider(lider.centroidsRetriever, clusters, lider.kmeans, params))
+    assert(e.getMessage.contains(s"cluster $cid's hyperplanes"), e.getMessage)
+  }
+
+  test("clusters whose planes are equal copies, as a loaded index's are, are accepted") {
+    val copies = lider.inClusterRetrievers.map { cm =>
+      if (cm == null) null
+      else {
+        val lsh = repro.lsh.RandomHyperplaneLSH.fromPlanes(cm.esklsh.lsh.planes.map(_.map(_.clone)))
+        new CoreModel(cm.vectors, cm.globalIds, new repro.esklsh.ESKLSH(lsh, cm.esklsh.arrays, cm.esklsh.b),
+          cm.rescalers, cm.rmis, cm.r0, cm.rescaleKeys)
+      }
+    }
+    val loaded = new Lider(lider.centroidsRetriever, copies, lider.kmeans, params)
+    for (i <- 0 until 10; q = corpus.vectors(i * 41))
+      assert(bits(loaded.search(q, 10)) == bits(lider.search(q, 10)))
+  }
+
   test("recommendedC targets ~200-vector clusters with a floor") {
     assert(Lider.recommendedC(100) == 10)
     assert(Lider.recommendedC(40_000) == 200)

@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropertySupport
+import repro.linalg.VecOps
 
 class TopKSpec extends AnyFunSuite with PropertySupport {
 
@@ -72,6 +73,37 @@ class TopKSpec extends AnyFunSuite with PropertySupport {
         val (x, y) = (Scored(ia, a), Scored(ib, b))
         math.signum(TopK.ordering.compare(x, y)) == math.signum(tupleOrdering.compare(x, y))
     }, minSuccessful = 500)
+  }
+
+  /** Per-candidate verification, the loop `TopK.verify` replaced, kept as
+    * the reference.
+    */
+  private def referenceVerify(
+      q: Array[Float], vectors: Array[Array[Float]], ids: Array[Long], candidates: Array[Int], k: Int): Array[Scored] = {
+    val top = new TopK.Collector(k)
+    candidates.foreach(c => top.offer(ids(c), VecOps.dot(q, vectors(c))))
+    top.result()
+  }
+
+  test("verify keeps the ids and raw score bits of per-candidate dot products") {
+    // Zeros of both signs give dot products of exactly 0.0; wide magnitudes
+    // make any change in summation order show in the low bits.
+    val component: Gen[Float] = Gen.frequency(
+      6 -> Gen.choose(-1.0, 1.0).map(_.toFloat), 2 -> Gen.oneOf(0.0f, -0.0f), 1 -> Gen.choose(-1e6, 1e6).map(_.toFloat))
+    val gen = for {
+      dim <- Gen.choose(1, 70)
+      n <- Gen.choose(1, 12)
+      vectors <- Gen.listOfN(n, Gen.listOfN(dim, component).map(_.toArray))
+      q <- Gen.oneOf(Gen.listOfN(dim, component).map(_.toArray), Gen.const(Array.fill(dim)(-0.0f)))
+      count <- Gen.frequency(3 -> Gen.choose(0, 9), 1 -> Gen.choose(10, 40))
+      candidates <- Gen.listOfN(count, Gen.choose(0, n - 1))
+      k <- Gen.choose(1, 12)
+    } yield (q, vectors.toArray, candidates.distinct.toArray, k)
+    def bits(a: Array[Scored]) = a.map(s => (s.id, java.lang.Double.doubleToRawLongBits(s.score))).toSeq
+    checkProp(Prop.forAll(gen) { case (q, vectors, candidates, k) =>
+      val ids = Array.tabulate(vectors.length)(i => 100L + i)
+      bits(TopK.verify(q, vectors, ids, candidates, k)) == bits(referenceVerify(q, vectors, ids, candidates, k))
+    }, minSuccessful = 300)
   }
 
   test("ties break by ascending id (deterministic)") {

@@ -1,11 +1,13 @@
 package repro.esklsh
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropertySupport
 import repro.linalg.VecOps
 import repro.lsh.Hashkey
 import scala.util.Random
 
-class ESKLSHSpec extends AnyFunSuite {
+class ESKLSHSpec extends AnyFunSuite with PropertySupport {
 
   private def cluster(n: Int, dim: Int, seed: Long): Array[Array[Float]] = {
     val rnd = new Random(seed)
@@ -129,6 +131,60 @@ class ESKLSHSpec extends AnyFunSuite {
     val one = esk.expandOne(0, keys(0), starts(0), 30).distinct
     val all = esk.expandAll(keys, starts, 30)
     assert(all.length >= one.length)
+  }
+
+  /** The walk `expandOne` replaced, kept as the reference: both frontier
+    * distances are computed on every step.
+    */
+  private def referenceExpandOne(e: ESKLSH, h: Int, queryKey: Long, start: Int, range: Int): Array[Int] = {
+    val arr = e.arrays(h)
+    val n = arr.length
+    val out = new Array[Int](math.min(range, n))
+    var r = math.min(n - 1, math.max(0, start))
+    var l = r - 1
+    for (filled <- out.indices) {
+      val takeLeft =
+        if (r >= n) true
+        else if (l < 0) false
+        else Hashkey.distExtended(arr.key(l), queryKey, arr.m, e.b) < Hashkey.distExtended(arr.key(r), queryKey, arr.m, e.b)
+      if (takeLeft) { out(filled) = arr.ids(l); l -= 1 }
+      else { out(filled) = arr.ids(r); r += 1 }
+    }
+    out
+  }
+
+  /** The `HashSet` dedupe `expandAll` replaced, kept as the reference. */
+  private def referenceExpandAll(e: ESKLSH, keys: Array[Long], starts: Array[Int], range: Int): Array[Int] = {
+    val seen = new java.util.HashSet[Int]()
+    val out = scala.collection.mutable.ArrayBuffer[Int]()
+    for (h <- 0 until e.numArrays; id <- referenceExpandOne(e, h, keys(h), starts(h), range))
+      if (seen.add(id)) out += id
+    out.toArray
+  }
+
+  test("expandOne and expandAll equal the reference walk and dedupe, at and past both ends") {
+    // Half the vectors repeat an earlier one, so keys tie and every array
+    // holds ids the others hold too.
+    val gen = for {
+      n <- Gen.choose(1, 60)
+      numArrays <- Gen.choose(1, 4)
+      keyLen <- Gen.choose(1, Hashkey.MaxLen)
+      b <- Gen.choose(1, 4)
+      seed <- Gen.choose(0L, 1000L)
+      start <- Gen.oneOf(Gen.oneOf(-3, -1, 0, 1, n - 2, n - 1, n, n + 4), Gen.choose(-2, n + 2))
+      range <- Gen.oneOf(Gen.choose(1, 8), Gen.choose(1, n + 3))
+    } yield (n, numArrays, keyLen, b, seed, start, range)
+    checkProp(Prop.forAll(gen) { case (n, numArrays, keyLen, b, seed, start, range) =>
+      val rnd = new Random(seed)
+      val distinctVs = cluster(math.max(1, n / 2), 6, seed)
+      val vs = Array.tabulate(n)(i => if (i < distinctVs.length) distinctVs(i) else distinctVs(rnd.nextInt(distinctVs.length)))
+      val e = ESKLSH.build(vs, numArrays, keyLen, b, seed)
+      val keys = e.hashQuery(cluster(1, 6, seed + 1)(0))
+      val starts = Array.tabulate(numArrays)(h => if (h == 0) start else e.arrays(h).insertionPoint(keys(h)) + h - 2)
+      (0 until numArrays).forall(h =>
+        e.expandOne(h, keys(h), starts(h), range).sameElements(referenceExpandOne(e, h, keys(h), starts(h), range))) &&
+        e.expandAll(keys, starts, range).sameElements(referenceExpandAll(e, keys, starts, range))
+    }, minSuccessful = 300)
   }
 
   test("keyLenFor follows ceil(log2 n) with floor and cap") {

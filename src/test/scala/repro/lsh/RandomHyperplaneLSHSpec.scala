@@ -1,10 +1,12 @@
 package repro.lsh
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropertySupport
 import repro.linalg.VecOps
 import scala.util.Random
 
-class RandomHyperplaneLSHSpec extends AnyFunSuite {
+class RandomHyperplaneLSHSpec extends AnyFunSuite with PropertySupport {
 
   private def unit(dim: Int, rnd: Random): Array[Float] =
     VecOps.normalized(Array.fill(dim)(rnd.nextGaussian().toFloat))
@@ -95,6 +97,47 @@ class RandomHyperplaneLSHSpec extends AnyFunSuite {
     val v = unit(12, new Random(4))
     assert(copy.dim == 12 && copy.numKeys == 3 && copy.keyLen == 8)
     assert(l.hashAll(v).toSeq == copy.hashAll(v).toSeq)
+  }
+
+  /** Per-plane hashing, the loop `hash` replaced, kept as the reference. */
+  private def referenceHash(l: RandomHyperplaneLSH, v: Array[Float], h: Int): Long = {
+    var key = 0L
+    for (i <- 0 until l.keyLen) key = (key << 1) | (if (VecOps.dot(v, l.planes(h)(i)) >= 0.0) 1L else 0L)
+    key
+  }
+
+  test("hash and margins keep the bits of one dot product per plane, for every key length") {
+    // Zero components of both signs in planes and vectors give dot products
+    // of exactly 0.0, which hash to 1.
+    val component: Gen[Float] = Gen.frequency(
+      6 -> Gen.choose(-1.0, 1.0).map(_.toFloat), 2 -> Gen.oneOf(0.0f, -0.0f), 1 -> Gen.choose(-1e6, 1e6).map(_.toFloat))
+    val gen = for {
+      dim <- Gen.choose(1, 20)
+      numKeys <- Gen.choose(1, 3)
+      keyLen <- Gen.choose(1, Hashkey.MaxLen)
+      planes <- Gen.listOfN(numKeys * keyLen, Gen.listOfN(dim, component).map(_.toArray))
+      v <- Gen.oneOf(Gen.listOfN(dim, component).map(_.toArray), Gen.const(Array.fill(dim)(-0.0f)))
+    } yield (RandomHyperplaneLSH.fromPlanes(planes.toArray.grouped(keyLen).toArray), v)
+    checkProp(Prop.forAll(gen) { case (l, v) =>
+      (0 until l.numKeys).forall { h =>
+        l.hash(v, h) == referenceHash(l, v, h) &&
+          l.margins(v, h).map(java.lang.Double.doubleToRawLongBits).toSeq ==
+            (0 until l.keyLen).map(i => java.lang.Double.doubleToRawLongBits(VecOps.dot(v, l.planes(h)(i))))
+      }
+    }, minSuccessful = 300)
+  }
+
+  test("a truncated or copied plane set is a prefix of its source; a foreign one is not") {
+    val l = RandomHyperplaneLSH(12, 3, 10, seed = 29)
+    assert(l.truncate(4).isPrefixOf(l) && l.isPrefixOf(l))
+    assert(RandomHyperplaneLSH.fromPlanes(l.planes.map(_.take(7).map(_.clone))).isPrefixOf(l))
+    assert(!l.isPrefixOf(l.truncate(4)))
+    assert(!RandomHyperplaneLSH(12, 3, 10, seed = 30).isPrefixOf(l))
+    assert(!RandomHyperplaneLSH(12, 2, 10, seed = 29).isPrefixOf(l))
+    assert(!RandomHyperplaneLSH(13, 3, 10, seed = 29).isPrefixOf(l))
+    val onePlaneOff = l.planes.map(_.map(_.clone))
+    onePlaneOff(2)(5)(11) = Math.nextUp(onePlaneOff(2)(5)(11))
+    assert(!RandomHyperplaneLSH.fromPlanes(onePlaneOff).isPrefixOf(l))
   }
 
   test("keyLen beyond the packed-Long limit is rejected") {

@@ -7,12 +7,18 @@ class AnnIndexInputSpec extends AnyFunSuite {
 
   private lazy val corpus = RetrievalData.corpus(1000, 32, seed = 41)
 
-  test("every AnnIndex and Lider.search reject k <= 0 and a query of the wrong dimension") {
-    val q = corpus.vectors(3)
+  /** Every AnnIndex, then `Lider.search` and one in-cluster `CoreModel.search`. */
+  private lazy val searches: Seq[(String, (Array[Float], Int) => Array[repro.core.Scored])] = {
     val indexes = Scaled.Methods.map(m => Scaled.buildIndex(m, corpus, "MS-100k"))
     val lider = indexes.collectFirst { case l: LiderIndex => l.lider }.get
-    val searches = indexes.map(ix => ix.name -> ((v: Array[Float], k: Int) => ix.search(v, k))) :+
-      ("Lider.search" -> ((v: Array[Float], k: Int) => lider.search(v, k)))
+    val cluster = lider.inClusterRetrievers.filter(_ != null).maxBy(_.size)
+    indexes.map(ix => ix.name -> ((v: Array[Float], k: Int) => ix.search(v, k))) ++ Seq(
+      "Lider.search" -> ((v: Array[Float], k: Int) => lider.search(v, k)),
+      "CoreModel.search" -> ((v: Array[Float], k: Int) => cluster.search(v, k)))
+  }
+
+  test("every AnnIndex and Lider.search reject k <= 0 and a query of the wrong dimension") {
+    val q = corpus.vectors(3)
     for ((name, search) <- searches) {
       assert(search(q, 10).length == 10, name)
       for (k <- Seq(0, -1))
@@ -20,5 +26,11 @@ class AnnIndexInputSpec extends AnyFunSuite {
       for (bad <- Seq(q.take(q.length - 1), q :+ 0.5f))
         withClue(s"$name, dim ${bad.length}: ")(assertThrows[IllegalArgumentException](search(bad, 10)))
     }
+  }
+
+  test("every AnnIndex, Lider.search and CoreModel.search reject a NaN or infinite query component") {
+    val q = corpus.vectors(3)
+    for ((name, search) <- searches; x <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity); at <- Seq(0, q.length - 1))
+      withClue(s"$name, $x at $at: ")(assertThrows[IllegalArgumentException](search(q.updated(at, x), 10)))
   }
 }
