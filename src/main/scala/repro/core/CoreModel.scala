@@ -69,31 +69,25 @@ final class CoreModel(
     * collector's strict total order makes the top k independent of the
     * order candidates arrive in.
     */
-  def search(q: Array[Float], km: Int): Array[Scored] = searchDetailed(q, km)._1
-
-  /** Search plus the ESK-LSH expansion wall time in nanos (Table 3). */
-  def searchDetailed(q: Array[Float], km: Int): (Array[Scored], Long) = {
+  def search(q: Array[Float], km: Int): Array[Scored] = {
     VecOps.requireQuery(q, esklsh.lsh.dim)
     searchHashed(q, km, null, 0)
   }
 
-  /** [[searchDetailed]] for a query already checked and, unless `longKeys`
-    * is null, already hashed under a plane set of key length `longLen`
-    * that this model's planes are a prefix of: each of this model's keys
-    * is then the leading `keyLen` bits of that key.
+  /** [[search]] for a query already checked and, unless `longKeys` is
+    * null, already hashed under a plane set of key length `longLen` that
+    * this model's planes are a prefix of: each of this model's keys is
+    * then the leading `keyLen` bits of that key.
     */
   private[core] def searchHashed(
-      q: Array[Float], km: Int, longKeys: Array[Long], longLen: Int): (Array[Scored], Long) = {
+      q: Array[Float], km: Int, longKeys: Array[Long], longLen: Int): Array[Scored] = {
     val range = math.max(1, r0 * km)
-    if (range >= size) return (verify(q, Array.range(0, size), km), 0L)
+    if (range >= size) return verify(q, Array.range(0, size), km)
     val queryKeys =
       if (longKeys == null) esklsh.hashQuery(q)
       else Array.tabulate(longKeys.length)(h => longKeys(h) >>> (longLen - esklsh.keyLen))
     val starts = Array.tabulate(esklsh.numArrays)(h => predictStart(h, queryKeys(h)))
-    val t0 = System.nanoTime()
-    val cands = esklsh.expandAll(queryKeys, starts, range)
-    val expandNanos = System.nanoTime() - t0
-    (verify(q, cands, km), expandNanos)
+    verify(q, esklsh.expandAll(queryKeys, starts, range), km)
   }
 
   /** Candidate verification: exact scores, top-k_m descending. */

@@ -69,39 +69,35 @@ final class Lider(
     * hashed once, under the shared plane set; each in-cluster search is
     * [[CoreModel.search]] on those keys' leading bits.
     *
-    * In-cluster retrievers are independent and run concurrently (the
-    * paper's between-cluster parallelism) — but only when the total
-    * expansion work amortizes thread dispatch; at our ×1/100 scale a
-    * cluster search costs about 30 µs (`ms-k10-1c`: clusters of ~200
-    * vectors, k = 10, 4-vCPU Xeon), far below the ~0.3 ms dispatch cost,
-    * so small-budget queries sweep the target clusters serially (same
-    * knob as [[repro.esklsh.ESKLSH.MinParallelWork]]).
+    * In-cluster retrievers are independent, so the c0 target clusters
+    * always run concurrently (§6.2's between-cluster parallelism), the
+    * query's one fork: no cluster reaches the expansion fork's threshold.
+    * A warm fork costs 5–8 µs (4-vCPU Xeon), and a k = 10 query's p50 read
+    * 117 µs fanned out against 250 µs serial at MS-8.8M, 328 against
+    * 952 µs at Wiki-21M (DESIGN.md §6).
     *
     * k ≤ 0, or a query whose length is not the index dimension or that
     * has a non-finite component (checked by the centroids retriever),
     * fails with an `IllegalArgumentException`.
     */
-  def search(q: Array[Float], k: Int, c0Override: Int = -1): Array[Scored] = {
+  def search(q: Array[Float], k: Int): Array[Scored] = {
     require(k > 0, s"k must be positive, got $k")
-    val c0 = if (c0Override > 0) c0Override else params.c0
-    val targets = targetClusters(q, c0)
+    val targets = targetClusters(q, params.c0)
     val keys = queryLsh.hashAll(q)
-    def inCluster(i: Int) = inClusterRetrievers(targets(i)).searchHashed(q, k, keys, queryLsh.keyLen)._1
-    val cc = params.clusterCore
-    val totalWork = targets.length.toLong * cc.numArrays * cc.r0 * k
-    val perCluster =
-      if (totalWork >= Lider.MinParallelWork) Parallel.tabulate(targets.length)(inCluster)
-      else Array.tabulate(targets.length)(inCluster)
+    val perCluster = Parallel.tabulate(targets.length) { i =>
+      inClusterRetrievers(targets(i)).searchHashed(q, k, keys, queryLsh.keyLen)
+    }
     TopK.mergeSorted(perCluster, k)
   }
 }
 
 object Lider {
 
-  /** Minimum total expansion steps across target clusters before the
-    * cluster fan-out pays for thread dispatch (see [[Lider.search]]).
+  /** Nothing under `src/main` reads this; the benchmark does, for its
+    * fan-out share and a log line. [[Lider.search]] fans out at any work,
+    * so this is 0.
     */
-  val MinParallelWork = 16384L
+  val MinParallelWork = 0L
 
   /** Builds LIDER over normalized corpus embeddings.
     *

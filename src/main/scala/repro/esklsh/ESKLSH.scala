@@ -60,14 +60,11 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
     * independently with its *local* frontier; results are unioned.
     * Returns distinct candidate vector ids.
     *
-    * Arrays are independent, so they *can* run concurrently — but thread
-    * dispatch costs ~0.3 ms on this JVM, while one array's expansion at
-    * our ×1/100 scale, dedupe included, costs about 0.7 µs at R = 30 and
-    * 2 µs at R = 300 (`ms-k10-1c` and `wiki-k100-1c` traces, 4-vCPU Xeon;
-    * the paper's arrays hold millions of string hashkeys, ours hundreds of
-    * packed Longs). Below [[ESKLSH.MinParallelWork]] total steps the sweep
-    * therefore runs as a serial loop; at paper-scale budgets (e.g.
-    * Table 3: H ≥ 32, R = 300) the parallel path engages.
+    * Arrays are independent, so a long sweep forks over them. One array's
+    * walk costs 2.4–3 µs at R = 300 and a warm fork 5–8 µs (4-vCPU Xeon),
+    * so below [[ESKLSH.MinParallelWork]] total steps the sweep is serial.
+    * No in-cluster retriever reaches it (10 arrays of ~200 entries);
+    * Table 3's standalone H = 32–64 sweeps over 210k entries do.
     */
   def expandAll(queryKeys: Array[Long], starts: Array[Int], range: Int): Array[Int] = {
     val totalWork = arrays.length.toLong * math.min(range, size)
@@ -148,9 +145,8 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
 
 object ESKLSH {
 
-  /** Minimum total expansion steps (arrays × range) before expandAll pays
-    * for thread dispatch; below this a serial sweep is faster on every
-    * machine we target. See expandAll's doc comment.
+  /** Minimum total expansion steps (arrays × range) before expandAll forks:
+    * at ~8 ns a step, 4096 steps are ~30 µs, several times a fork's cost.
     */
   val MinParallelWork = 4096L
 

@@ -12,14 +12,14 @@ import repro.retrieval._
   * Dataset substitution (see DESIGN.md): the paper's MS-1M core model
   * expands R ≈ r0·100 positions over million-entry string-hashkey arrays,
   * so one array's expansion costs ~ms and parallelism across arrays pays.
-  * Our scaled MS-1M (10k passages, packed-Long keys) puts per-array work
-  * under thread-dispatch cost, where wall time cannot show the claim; we
-  * therefore run this sweep on our largest corpus (Wiki-21M-sized, 210k)
-  * with the paper's k_m = 100, the closest regime to the paper's, and
-  * report MRR@10 from the top-10 prefix.
+  * Our packed-Long arrays make one array's walk a few µs at any of our
+  * sizes, so the sweep runs on our largest corpus (Wiki-21M-sized, 210k),
+  * the closest regime to the paper's, with the paper's k_m = 100, and
+  * reports MRR@10 from the top-10 prefix. It times `ESKLSH.expandAll`
+  * between the public calls that `CoreModel.search` makes (R < n).
   */
 /** `avgExpansionMillis` is the *median* per-query expansion wall time —
-  * the per-query cost is milliseconds, so mean times are hostage to a
+  * the per-query cost is about 0.1–0.2 ms, so mean times are hostage to a
   * single stray GC pause or scheduler hiccup.
   */
 final case class Table3Row(h: Int, mrr: Double, avgExpansionMillis: Double)
@@ -51,24 +51,28 @@ object Table3Experiment {
     val rows = hValues.map { h =>
       val cm = CoreModel.build(corpus.vectors, corpus.ids,
         CoreModelParams(numArrays = h, rmiWidth = 10, r0 = 3))
+      val perQueryNanos = new Array[Long](dev.queries.length)
+      def search(i: Int): Array[Long] = {
+        val q = dev.queries(i)
+        val keys = cm.esklsh.hashQuery(q)
+        val starts = Array.tabulate(h)(a => cm.predictStart(a, keys(a)))
+        val t0 = System.nanoTime()
+        val cands = cm.esklsh.expandAll(keys, starts, cm.r0 * km)
+        perQueryNanos(i) = System.nanoTime() - t0
+        cm.verify(q, cands, km).map(_.id)
+      }
       // Let build garbage collect, then warm up JIT + thread pool before
-      // the timed passes — the per-query measurement is milliseconds, so a
-      // stray major GC or a descheduled pool would otherwise dominate one
+      // the timed passes — the per-query measurement is sub-millisecond, so
+      // a stray major GC or a descheduled pool would otherwise dominate one
       // sweep point. Three timed passes; per-pass median; min of medians
       // (results are identical across passes — search is deterministic).
       System.gc()
-      dev.queries.take(50).foreach(q => cm.searchDetailed(q, km))
+      dev.queries.indices.take(50).foreach(search)
       var results: Array[Array[Long]] = null
       var bestMedianNanos = Long.MaxValue
       for (_ <- 0 until 3) {
-        val perQueryNanos = new Array[Long](dev.queries.length)
-        results = dev.queries.zipWithIndex.map { case (q, i) =>
-          val (res, nanos) = cm.searchDetailed(q, km)
-          perQueryNanos(i) = nanos
-          res.map(_.id)
-        }
-        java.util.Arrays.sort(perQueryNanos)
-        bestMedianNanos = math.min(bestMedianNanos, perQueryNanos(perQueryNanos.length / 2))
+        results = Array.tabulate(dev.queries.length)(search)
+        bestMedianNanos = math.min(bestMedianNanos, perQueryNanos.sorted.apply(perQueryNanos.length / 2))
       }
       val mrr = Metrics.mrrAt(results, dev.relevant, cut)
       val row = Table3Row(h, mrr, bestMedianNanos / 1e6)

@@ -72,11 +72,6 @@ class CoreModelSpec extends AnyFunSuite {
     assert(a == b)
   }
 
-  test("searchDetailed reports a positive expansion time") {
-    val (res, nanos) = cm.searchDetailed(corpus.vectors(23), 10)
-    assert(res.length == 10 && nanos > 0)
-  }
-
   test("search equals the composition of the public calls just below, at and above full cover") {
     // 61 vectors and r0 = 3: k = 20 expands R = 60, one short of every
     // member, which one or two arrays leave out; k = 21 covers them all.

@@ -70,10 +70,10 @@ class LiderSpec extends AnyFunSuite {
 
   test("raising c0 can only widen the searched space (recall non-decreasing on average)") {
     val qs = (0 until 30).map(i => corpus.vectors(i * 11 + 3))
-    def meanRecall(c0: Int): Double = qs.map { q =>
-      Metrics.recallAt(lider.search(q, 10, c0Override = c0).map(_.id),
-        flat.search(q, 10).map(_.id), 10)
-    }.sum / qs.size
+    def meanRecall(c0: Int): Double = {
+      val withC0 = new Lider(lider.centroidsRetriever, lider.inClusterRetrievers, lider.kmeans, params.copy(c0 = c0))
+      qs.map(q => Metrics.recallAt(withC0.search(q, 10).map(_.id), flat.search(q, 10).map(_.id), 10)).sum / qs.size
+    }
     assert(meanRecall(10) >= meanRecall(1) - 1e-9)
   }
 
@@ -101,7 +101,7 @@ class LiderSpec extends AnyFunSuite {
     val sizes = lider.inClusterRetrievers.filter(_ != null).map(_.size)
     var covered, expanded = 0
     // r0·k against cluster sizes of about 100: k = 1 and 10 expand every
-    // cluster, k = 40 covers some, k = 200 covers all and fans out.
+    // cluster, k = 40 covers some, k = 200 covers all.
     for (k <- Seq(1, 10, sizes.min / 3 + 1, 40, sizes.max / 3 + 1, 200); q <- queries) {
       val perCluster = lider.targetClusters(q, params.c0).map { cid =>
         val cm = lider.inClusterRetrievers(cid)
@@ -114,6 +114,17 @@ class LiderSpec extends AnyFunSuite {
       assert(bits(lider.search(q, k)) == bits(TopK.mergeSorted(perCluster, k)), s"k = $k")
     }
     assert(covered > 0 && expanded > 0, s"covered $covered, expanded $expanded")
+  }
+
+  test("queries searched concurrently match a sequential loop, ids and score bits") {
+    // Each search forks over its target clusters inside a parallel stream
+    // that already occupies the common pool: nested fan-out.
+    val queries = Array.tabulate(64)(i => corpus.vectors(i * 29 + 7))
+    for (k <- Seq(1, 10, 200)) {
+      val sequential = queries.map(q => bits(lider.search(q, k)))
+      val concurrent = repro.linalg.Parallel.tabulate(queries.length)(i => bits(lider.search(queries(i), k)))
+      assert(concurrent.toSeq == sequential.toSeq, s"k = $k")
+    }
   }
 
   test("a cluster whose hyperplanes are not a prefix of the shared set is rejected by name") {
