@@ -10,8 +10,9 @@ import repro.esklsh.ESKLSH
   * primitive sizes instead of sampling JVM heap (GC makes heap deltas
   * noisy and non-deterministic); the LIDER-vs-SK-LSH *ratio* is what the
   * table is about and it is fully determined by these structures.
-  * Hashkeys are bit-packed (M bits per entry, see SortedKeyArray), so the
-  * paper's per-cluster hashkey shrink is real bytes here too.
+  * Each sorted-array entry is bit-packed, an M-bit key and a
+  * ceil(log2 n)-bit local id (see SortedKeyArray), so the paper's
+  * per-cluster hashkey shrink is real bytes here too.
   */
 object IndexFootprint {
 
@@ -21,9 +22,9 @@ object IndexFootprint {
   def planesBytes(e: ESKLSH): Long =
     e.lsh.numKeys.toLong * e.lsh.keyLen * e.lsh.dim * 4L
 
-  /** Sorted arrays (packed keys + ids) of one ESK-LSH instance, plus its
-    * hyperplanes unless they are shared (LIDER's in-cluster retrievers
-    * share one plane set — counted once by [[liderBytes]]).
+  /** Sorted arrays (packed key and id entries) of one ESK-LSH instance,
+    * plus its hyperplanes unless they are shared (LIDER's in-cluster
+    * retrievers share one plane set — counted once by [[liderBytes]]).
     */
   def esklshBytes(e: ESKLSH, includePlanes: Boolean = true): Long = {
     val arrays = e.arrays.map(_.sizeBytes).sum
@@ -38,13 +39,15 @@ object IndexFootprint {
     esklshBytes(cm.esklsh, includePlanes) + rmi + rescalers + idMap
   }
 
-  /** Full LIDER: centroid vectors (index structure, not corpus data) +
-    * centroids retriever + all in-cluster retrievers, whose hyperplanes
-    * are one shared set (counted once at the largest key length).
+  /** Full LIDER: centroid vectors (index structure, not corpus data, held
+    * by the centroids retriever) + centroids retriever + all in-cluster
+    * retrievers, whose hyperplanes are one shared set (counted once at the
+    * largest key length).
     */
   def liderBytes(l: Lider): Long = {
-    val centroidVecs = l.kmeans.k.toLong * l.kmeans.dim * 4L
-    val cr = coreModelBytes(l.centroidsRetriever)
+    val centroids = l.centroidsRetriever
+    val centroidVecs = centroids.size.toLong * centroids.esklsh.lsh.dim * 4L
+    val cr = coreModelBytes(centroids)
     val irs = l.inClusterRetrievers.iterator.filter(_ != null)
       .map(coreModelBytes(_, includePlanes = false)).sum
     val sharedPlanes = l.inClusterRetrievers.iterator.filter(_ != null)

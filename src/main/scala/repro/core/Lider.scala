@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.kmeans.{KMeans, KMeansModel}
+import repro.kmeans.KMeans
 import repro.linalg.Parallel
 import repro.lsh.RandomHyperplaneLSH
 
@@ -36,7 +36,6 @@ final case class BuildStats(clusteringNanos: Long, centroidRetrieverNanos: Long,
 final class Lider(
     val centroidsRetriever: CoreModel,
     val inClusterRetrievers: Array[CoreModel], // null for empty clusters
-    val kmeans: KMeansModel,
     val params: LiderParams)
     extends Serializable {
 
@@ -106,9 +105,10 @@ object Lider {
     * clustering is acceptable for this stage). Its distance loops are
     * lane-per-pair kernels over transposed double tables, which the JIT
     * vectorises; each lane sums in `VecOps.sqDist`'s order, so the clusters
-    * are bit-identical to a per-pair loop's (see [[KMeansModel]]). Stage 2: centroids
-    * retriever. Stage 3: all in-cluster retrievers, built in parallel
-    * (independent clusters). Returns stage wall times for Table 5.
+    * are bit-identical to a per-pair loop's (see
+    * [[repro.kmeans.KMeansModel]]). Stage 2: centroids retriever. Stage 3:
+    * all in-cluster retrievers, built in parallel (independent clusters).
+    * Returns stage wall times for Table 5.
     */
   def build(
       vectors: Array[Array[Float]],
@@ -150,7 +150,7 @@ object Lider {
     }
     val t3 = System.nanoTime()
 
-    (new Lider(centroidsRetriever, inCluster, km, params),
+    (new Lider(centroidsRetriever, inCluster, params),
      BuildStats(t1 - t0, t2 - t1, t3 - t2))
   }
 

@@ -15,13 +15,14 @@ import repro.rmi.{KeyRescaler, LinearModel, SimplifiedRMI}
   *   magic "LIDR", version, n, dim, H, M, b, r0, rescaleKeys,
   *   vectors (n·dim floats), globalIds (n longs),
   *   hyperplanes (H·M·dim floats),
-  *   per array: keys (n longs), ids (n ints),
+  *   per array: its packed (key, local id) words, as SortedKeyArray.write
+  *     writes them,
   *   per array: rescaler (min, max, len),
   *   per array: RMI (root a/b, W, leaves a/b, n)
   */
 object CoreModelCodec {
   private val Magic = 0x4C494452 // "LIDR"
-  private val Version = 1
+  private val Version = 2
 
   def write(cm: CoreModel, out: DataOutputStream): Unit = {
     val n = cm.size
@@ -54,15 +55,7 @@ object CoreModelCodec {
       h += 1
     }
 
-    h = 0
-    while (h < lsh.numKeys) {
-      val arr = cm.esklsh.arrays(h)
-      i = 0
-      while (i < n) { out.writeLong(arr.key(i)); i += 1 }
-      i = 0
-      while (i < n) { out.writeInt(arr.ids(i)); i += 1 }
-      h += 1
-    }
+    cm.esklsh.arrays.foreach(_.write(out))
 
     h = 0
     while (h < lsh.numKeys) {
@@ -84,7 +77,9 @@ object CoreModelCodec {
 
   def read(in: DataInputStream): CoreModel = {
     require(in.readInt() == Magic, "not a LIDER core-model file")
-    require(in.readInt() == Version, "unsupported core-model version")
+    val version = in.readInt()
+    require(version == Version,
+      s"core-model format version $version is not supported (this build reads version $Version); rebuild the index")
     val n = in.readInt(); val dim = in.readInt()
     val numKeys = in.readInt(); val keyLen = in.readInt()
     val b = in.readInt(); val r0 = in.readInt()
@@ -106,11 +101,7 @@ object CoreModelCodec {
     }
     val lsh = RandomHyperplaneLSH.fromPlanes(planes)
 
-    val arrays = Array.fill(numKeys) {
-      val keys = Array.fill(n)(in.readLong())
-      val ids = Array.fill(n)(in.readInt())
-      SortedKeyArray.fromSorted(keys, ids, keyLen)
-    }
+    val arrays = Array.fill(numKeys)(SortedKeyArray.read(in, n, keyLen))
     val rescalers = Array.fill(numKeys)(KeyRescaler(in.readLong(), in.readLong(), in.readLong()))
     val rmis = Array.fill(numKeys) {
       val root = LinearModel(in.readDouble(), in.readDouble())

@@ -25,7 +25,7 @@ object IndexStore {
     new File(base, "clusters").mkdirs()
 
     val meta = Seq(
-      s"dim=${lider.kmeans.dim}",
+      s"dim=${lider.centroidsRetriever.esklsh.lsh.dim}",
       s"c=${lider.numClusters}",
       s"c0=${lider.params.c0}",
     ).mkString("", "\n", "\n")

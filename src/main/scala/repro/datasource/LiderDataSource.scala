@@ -20,12 +20,12 @@ import scala.jdk.CollectionConverters._
   *   .option("index", indexDir)     // IndexStore directory
   *   .option("queries", parquetDir) // (id: long, emb: array<float>) parquet
   *   .option("k", "10")             // k_m per in-cluster retriever
-  *   .option("c0", "5")             // optional, default from index meta
   *   .load()
   * }}}
   *
   * Scan planning *is* LIDER's layer-1: the centroids retriever runs on the
-  * driver and every target cluster becomes one `InputPartition`, so
+  * driver, routes each query to the index's c0 target clusters (c0 from
+  * `meta.txt`), and every target cluster becomes one `InputPartition`, so
   * Spark's task parallelism realizes the paper's between-cluster
   * parallelism. Each partition emits that cluster's sorted top-k_m per
   * query (`rank` = in-cluster rank); the layer-3 global top-k is the
@@ -107,8 +107,7 @@ private[datasource] class LiderScan(options: Map[String, String], queryIdFilter:
     val indexDir = opt("index")
     val queriesPath = opt("queries")
     val k = options.getOrElse("k", "10").toInt
-    val meta = IndexStore.readMeta(indexDir)
-    val c0 = options.get("c0").map(_.toInt).getOrElse(meta("c0").toInt)
+    val c0 = IndexStore.readMeta(indexDir)("c0").toInt
 
     // Layer 1 on the driver: route every (surviving) query to its c0
     // target clusters with the centroids retriever.

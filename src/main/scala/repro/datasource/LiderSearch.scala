@@ -37,14 +37,12 @@ object LiderSearch {
       spark: SparkSession,
       indexDir: String,
       queriesParquet: String,
-      k: Int,
-      c0: Option[Int] = None): DataFrame = {
-    val r = spark.read.format("lider")
+      k: Int): DataFrame =
+    spark.read.format("lider")
       .option("index", indexDir)
       .option("queries", queriesParquet)
       .option("k", k.toString)
-    c0.fold(r)(v => r.option("c0", v.toString)).load()
-  }
+      .load()
 
   /** Full LIDER query as a DataFrame: the stage-3 global top-k merge is a
     * window rank over the per-cluster candidates (deterministic ties:
@@ -55,10 +53,9 @@ object LiderSearch {
       spark: SparkSession,
       indexDir: String,
       queriesParquet: String,
-      k: Int,
-      c0: Option[Int] = None): DataFrame = {
+      k: Int): DataFrame = {
     val w = Window.partitionBy("query_id").orderBy(desc("score"), asc("passage_id"))
-    candidates(spark, indexDir, queriesParquet, k, c0)
+    candidates(spark, indexDir, queriesParquet, k)
       .withColumn("rank", row_number().over(w))
       .filter(col("rank") <= k)
   }

@@ -45,10 +45,10 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
     while (filled < take) {
       val takeLeft = r >= n || (l >= 0 && dl < dr)
       if (takeLeft) {
-        out(filled) = arr.ids(l); l -= 1
+        out(filled) = arr.id(l); l -= 1
         if (l >= 0) dl = Hashkey.distExtended(arr.key(l), queryKey, arr.m, b)
       } else {
-        out(filled) = arr.ids(r); r += 1
+        out(filled) = arr.id(r); r += 1
         if (r < n) dr = Hashkey.distExtended(arr.key(r), queryKey, arr.m, b)
       }
       filled += 1
@@ -111,21 +111,21 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
         h += 1
       }
       if (bestH < 0) return out.distinct.toArray // all arrays exhausted
-      if (bestLeft) { out += arrays(bestH).ids(ls(bestH)); ls(bestH) -= 1 }
-      else { out += arrays(bestH).ids(rs(bestH)); rs(bestH) += 1 }
+      if (bestLeft) { out += arrays(bestH).id(ls(bestH)); ls(bestH) -= 1 }
+      else { out += arrays(bestH).id(rs(bestH)); rs(bestH) += 1 }
       filled += 1
     }
     out.distinct.toArray
   }
 
   /** The ids of all arrays in first-seen order, each once. Ids are local
-    * positions `0 until size`, so one flag per vector marks them seen.
+    * positions `0 until size`, so one bit per vector marks them seen.
     */
   private def distinct(perArray: Array[Array[Int]]): Array[Int] = {
     var raw = 0
     var h = 0
     while (h < perArray.length) { raw = math.min(size, raw + perArray(h).length); h += 1 }
-    val seen = new Array[Boolean](size)
+    val seen = new Array[Long]((size + 63) >>> 6)
     val out = new Array[Int](raw)
     var n = 0
     h = 0
@@ -134,7 +134,8 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
       var i = 0
       while (i < a.length) {
         val id = a(i)
-        if (!seen(id)) { seen(id) = true; out(n) = id; n += 1 }
+        val bit = 1L << id // the shift takes id mod 64
+        if ((seen(id >>> 6) & bit) == 0) { seen(id >>> 6) |= bit; out(n) = id; n += 1 }
         i += 1
       }
       h += 1

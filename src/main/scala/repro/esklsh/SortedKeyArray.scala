@@ -1,44 +1,36 @@
 package repro.esklsh
 
+import java.io.{DataInputStream, DataOutputStream}
+
 /** One sorted hashkey array of ESK-LSH (the yellow boxes of paper Fig. 1).
   *
-  * Keys are stored **bit-packed** — `m` bits each in a `Long` blob — so the
-  * per-entry footprint scales with the hashkey length, like the paper's
-  * string hashkeys do. This is what makes LIDER's per-cluster hashkey
-  * shrink (M = ceil(log2 cluster-size) ≪ corpus-level M) show up as real
-  * memory savings in Table 5. `ids(i)` is the local index of the vector
-  * whose hashkey sits at position `i`; order is (key asc, id asc).
+  * The array is one bit stream of `Long` words. Position `i` is one entry
+  * of `m + idBits` bits, `idBits = ceil(log2 length)`: the key, then the
+  * local index of the vector whose hashkey it is. Order is (key asc, id
+  * asc). Both fields scale with the cluster, like the paper's string
+  * hashkeys do, so LIDER's per-cluster hashkey shrink (M = ceil(log2
+  * cluster-size) ≪ corpus-level M) shows up as real memory savings in
+  * Table 5. The persisted form ([[write]]/[[read]]) is the same words.
   */
-final class SortedKeyArray private (
-    private val packed: Array[Long],
-    val ids: Array[Int],
-    val m: Int)
+final class SortedKeyArray private (private val bits: Array[Long], val length: Int, val m: Int)
     extends Serializable {
 
-  def length: Int = ids.length
+  private val idBits = SortedKeyArray.idBitsFor(length)
+  private val width = m + idBits
 
-  /** The key at sorted position `i`, unpacked to a Long. */
-  def key(i: Int): Long = {
-    val bitPos = i.toLong * m
-    val word = (bitPos >>> 6).toInt
-    val off = (bitPos & 63).toInt
-    if (off + m <= 64) (packed(word) >>> (64 - off - m)) & SortedKeyArray.mask(m)
-    else {
-      val hiBits = 64 - off
-      val loBits = m - hiBits
-      val hi = packed(word) & SortedKeyArray.mask(hiBits)
-      val lo = packed(word + 1) >>> (64 - loBits)
-      (hi << loBits) | lo
-    }
-  }
+  /** The key at sorted position `i`. */
+  def key(i: Int): Long = SortedKeyArray.get(bits, i.toLong * width, m)
+
+  /** The local vector id at sorted position `i`. */
+  def id(i: Int): Int = SortedKeyArray.get(bits, i.toLong * width + m, idBits).toInt
 
   /** Materializes all keys (build-time convenience for RMI training and
     * tests — not retained by the index).
     */
   def keys: Array[Long] = Array.tabulate(length)(key)
 
-  /** Bytes held by this array's structures (packed keys + ids). */
-  def sizeBytes: Long = packed.length.toLong * 8 + ids.length.toLong * 4
+  /** Bytes held by this array's bit stream. */
+  def sizeBytes: Long = bits.length.toLong * 8
 
   /** Insertion point of `key`: the first position whose key is ≥ `key`. */
   def insertionPoint(k: Long): Int = {
@@ -49,62 +41,61 @@ final class SortedKeyArray private (
     }
     lo
   }
+
+  /** Writes the bit stream's words, which [[SortedKeyArray.read]] reads. */
+  def write(out: DataOutputStream): Unit = bits.foreach(out.writeLong)
 }
 
 object SortedKeyArray {
 
-  private def mask(bits: Int): Long = if (bits >= 64) -1L else (1L << bits) - 1
+  private def idBitsFor(n: Int): Int =
+    if (n <= 1) 1 else 64 - java.lang.Long.numberOfLeadingZeros((n - 1).toLong)
 
-  /** Packs pre-sorted keys (the codec load path). */
-  def fromSorted(keys: Array[Long], ids: Array[Int], m: Int): SortedKeyArray = {
-    require(keys.length == ids.length, "keys/ids length mismatch")
-    new SortedKeyArray(pack(keys, m), ids, m)
+  private def words(n: Int, m: Int): Int = ((n.toLong * (m + idBitsFor(n)) + 63) >>> 6).toInt
+
+  /** The `width` bits (1–64) at bit `pos`, most significant first. */
+  private def get(bits: Array[Long], pos: Long, width: Int): Long = {
+    val word = (pos >>> 6).toInt
+    val off = (pos & 63).toInt
+    val v = (bits(word) << off) >>> (64 - width)
+    val spill = off + width - 64
+    if (spill <= 0) v else v | (bits(word + 1) >>> (64 - spill))
   }
 
-  private def pack(keys: Array[Long], m: Int): Array[Long] = {
-    val totalBits = keys.length.toLong * m
-    val packed = new Array[Long](((totalBits + 63) >>> 6).toInt)
-    var i = 0
-    while (i < keys.length) {
-      val bitPos = i.toLong * m
-      val word = (bitPos >>> 6).toInt
-      val off = (bitPos & 63).toInt
-      val k = keys(i)
-      if (off + m <= 64) packed(word) |= k << (64 - off - m)
-      else {
-        val hiBits = 64 - off
-        val loBits = m - hiBits
-        packed(word) |= k >>> loBits
-        packed(word + 1) |= k << (64 - loBits)
-      }
-      i += 1
-    }
-    packed
+  /** ORs `v` (< 2^width) into the zeroed `width` bits at bit `pos`. */
+  private def put(bits: Array[Long], pos: Long, width: Int, v: Long): Unit = {
+    val word = (pos >>> 6).toInt
+    val off = (pos & 63).toInt
+    val spill = off + width - 64
+    if (spill <= 0) bits(word) |= v << -spill
+    else { bits(word) |= v >>> spill; bits(word + 1) |= v << (64 - spill) }
   }
 
-  /** Sorts (hashkey, id) pairs into a packed array.
+  /** Reads the words `write` wrote for `n` entries of `m`-bit keys. */
+  def read(in: DataInputStream, n: Int, m: Int): SortedKeyArray = {
+    require(n >= 0 && m >= 1 && m <= 64, s"bad sorted-array shape: n=$n, m=$m")
+    new SortedKeyArray(Array.fill(words(n, m))(in.readLong()), n, m)
+  }
+
+  /** Sorts (hashkey, id) pairs into one bit stream.
     *
-    * Fast path: when key bits + id bits fit in 63 bits, sort
-    * `(key << idBits) | id` primitively — same order (key asc, id asc on
-    * ties) with zero boxing. Falls back to a boxed sort for longer keys.
+    * Fast path: when an entry fits in 63 bits, sort the entries themselves
+    * (`(key << idBits) | id`) primitively — same order (key asc, id asc on
+    * ties) with zero boxing — and write each as it is. Falls back to a
+    * boxed sort for longer entries.
     */
   def build(hashkeys: Array[Long], m: Int): SortedKeyArray = {
     val n = hashkeys.length
-    val idBits = if (n <= 1) 1 else 64 - java.lang.Long.numberOfLeadingZeros((n - 1).toLong).toInt
-    val keys = new Array[Long](n)
-    val ids = new Array[Int](n)
-    if (m + idBits <= 63) {
+    val idBits = idBitsFor(n)
+    val width = m + idBits
+    val bits = new Array[Long](words(n, m))
+    if (width <= 63) {
       val sortable = new Array[Long](n)
       var i = 0
       while (i < n) { sortable(i) = (hashkeys(i) << idBits) | i.toLong; i += 1 }
       java.util.Arrays.sort(sortable)
-      val idMask = (1L << idBits) - 1
       i = 0
-      while (i < n) {
-        keys(i) = sortable(i) >>> idBits
-        ids(i) = (sortable(i) & idMask).toInt
-        i += 1
-      }
+      while (i < n) { put(bits, i.toLong * width, width, sortable(i)); i += 1 }
     } else {
       val boxed = Array.tabulate(n)(Integer.valueOf)
       java.util.Arrays.sort(
@@ -115,8 +106,13 @@ object SortedKeyArray {
         }
       )
       var i = 0
-      while (i < n) { val src = boxed(i).intValue; keys(i) = hashkeys(src); ids(i) = src; i += 1 }
+      while (i < n) {
+        val src = boxed(i).intValue
+        put(bits, i.toLong * width, m, hashkeys(src))
+        put(bits, i.toLong * width + m, idBits, src.toLong)
+        i += 1
+      }
     }
-    new SortedKeyArray(pack(keys, m), ids, m)
+    new SortedKeyArray(bits, n, m)
   }
 }

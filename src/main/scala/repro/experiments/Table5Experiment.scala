@@ -53,7 +53,7 @@ object Table5Experiment {
       val corpus = RetrievalData.corpus(spec.n, dim, spec.seed)
 
       val (lider, stats) = Lider.build(corpus.vectors, corpus.ids, Scaled.liderParams(spec.n))
-      val memStage1 = lider.kmeans.k.toLong * dim * 4L
+      val memStage1 = lider.centroidsRetriever.size.toLong * dim * 4L
       val memStage2 = memStage1 + IndexFootprint.coreModelBytes(lider.centroidsRetriever)
       val memStage3 = IndexFootprint.liderBytes(lider)
 

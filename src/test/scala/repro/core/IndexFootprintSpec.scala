@@ -20,9 +20,10 @@ class IndexFootprintSpec extends AnyFunSuite {
 
   test("packed key storage is far below 8 bytes per entry for short keys") {
     val e = ESKLSH.build(corpus.vectors, numArrays = 1, keyLen = 8, b = 3, seed = 1)
-    // 8-bit keys: ~1B/key + 4B/id ≈ 5B per entry (vs 12B unpacked).
+    // 8-bit key + 11-bit id (1,200 entries) ≈ 2.4B per entry (vs 12B
+    // unpacked).
     val perEntry = e.arrays(0).sizeBytes.toDouble / corpus.n
-    assert(perEntry < 5.5, s"perEntry=$perEntry")
+    assert(perEntry < 2.5, s"perEntry=$perEntry")
   }
 
   test("core model adds RMI, rescaler and id-map bytes on top of ESK-LSH") {
@@ -59,7 +60,7 @@ class IndexFootprintSpec extends AnyFunSuite {
     val (lider, _) = Lider.build(corpus.vectors, corpus.ids,
       LiderParams(c = 6, c0 = 2, kmeansSample = 1200))
     val irs = lider.inClusterRetrievers.filter(_ != null)
-    val manual = lider.kmeans.k.toLong * 32 * 4 +
+    val manual = lider.centroidsRetriever.size.toLong * 32 * 4 +
       IndexFootprint.coreModelBytes(lider.centroidsRetriever) +
       irs.map(IndexFootprint.coreModelBytes(_, includePlanes = false)).sum +
       irs.map(cm => IndexFootprint.planesBytes(cm.esklsh)).max

@@ -17,7 +17,7 @@ class LiderSpec extends AnyFunSuite {
 
   test("build produces the requested number of clusters") {
     assert(lider.numClusters == 20)
-    assert(lider.kmeans.k == 20)
+    assert(lider.centroidsRetriever.size == 20)
   }
 
   test("every corpus vector lives in exactly one in-cluster retriever") {
@@ -71,7 +71,7 @@ class LiderSpec extends AnyFunSuite {
   test("raising c0 can only widen the searched space (recall non-decreasing on average)") {
     val qs = (0 until 30).map(i => corpus.vectors(i * 11 + 3))
     def meanRecall(c0: Int): Double = {
-      val withC0 = new Lider(lider.centroidsRetriever, lider.inClusterRetrievers, lider.kmeans, params.copy(c0 = c0))
+      val withC0 = new Lider(lider.centroidsRetriever, lider.inClusterRetrievers, params.copy(c0 = c0))
       qs.map(q => Metrics.recallAt(withC0.search(q, 10).map(_.id), flat.search(q, 10).map(_.id), 10)).sum / qs.size
     }
     assert(meanRecall(10) >= meanRecall(1) - 1e-9)
@@ -135,7 +135,7 @@ class LiderSpec extends AnyFunSuite {
     val cid = present.filter(c => clusters(c).esklsh.keyLen == present.map(clusters(_).esklsh.keyLen).min).last
     val own = clusters(cid)
     clusters(cid) = CoreModel.build(own.vectors, own.globalIds, params.clusterCore.copy(seed = 99))
-    val e = intercept[IllegalArgumentException](new Lider(lider.centroidsRetriever, clusters, lider.kmeans, params))
+    val e = intercept[IllegalArgumentException](new Lider(lider.centroidsRetriever, clusters, params))
     assert(e.getMessage.contains(s"cluster $cid's hyperplanes"), e.getMessage)
   }
 
@@ -148,7 +148,7 @@ class LiderSpec extends AnyFunSuite {
           cm.rescalers, cm.rmis, cm.r0, cm.rescaleKeys)
       }
     }
-    val loaded = new Lider(lider.centroidsRetriever, copies, lider.kmeans, params)
+    val loaded = new Lider(lider.centroidsRetriever, copies, params)
     for (i <- 0 until 10; q = corpus.vectors(i * 41))
       assert(bits(loaded.search(q, 10)) == bits(lider.search(q, 10)))
   }

@@ -11,11 +11,16 @@ class CodecSpec extends AnyFunSuite {
   private lazy val cm = CoreModel.build(corpus.vectors, corpus.ids,
     CoreModelParams(numArrays = 5, rmiWidth = 4, b = 3, r0 = 3))
 
-  private def roundTrip(model: CoreModel): CoreModel = {
+  private def encode(model: CoreModel): Array[Byte] = {
     val buf = new ByteArrayOutputStream()
     CoreModelCodec.write(model, new DataOutputStream(buf))
-    CoreModelCodec.read(new DataInputStream(new ByteArrayInputStream(buf.toByteArray)))
+    buf.toByteArray
   }
+
+  private def decode(bytes: Array[Byte]): CoreModel =
+    CoreModelCodec.read(new DataInputStream(new ByteArrayInputStream(bytes)))
+
+  private def roundTrip(model: CoreModel): CoreModel = decode(encode(model))
 
   test("round-trip preserves sizes and parameters") {
     val got = roundTrip(cm)
@@ -36,8 +41,9 @@ class CodecSpec extends AnyFunSuite {
   test("round-trip preserves sorted arrays") {
     val got = roundTrip(cm)
     for (h <- 0 until cm.esklsh.numArrays) {
-      assert(got.esklsh.arrays(h).keys.toSeq == cm.esklsh.arrays(h).keys.toSeq)
-      assert(got.esklsh.arrays(h).ids.toSeq == cm.esklsh.arrays(h).ids.toSeq)
+      val (a, b) = (got.esklsh.arrays(h), cm.esklsh.arrays(h))
+      assert(a.length == b.length)
+      for (i <- 0 until b.length) assert(a.key(i) == b.key(i) && a.id(i) == b.id(i), s"array $h, position $i")
     }
   }
 
@@ -69,7 +75,25 @@ class CodecSpec extends AnyFunSuite {
 
   test("garbage input is rejected by the magic check") {
     val bytes = Array.fill[Byte](64)(42)
-    intercept[IllegalArgumentException](
-      CoreModelCodec.read(new DataInputStream(new ByteArrayInputStream(bytes))))
+    intercept[IllegalArgumentException](decode(bytes))
+  }
+
+  test("a version-1 file fails with an IllegalArgumentException naming the version and asking for a rebuild") {
+    val bytes = encode(cm)
+    java.nio.ByteBuffer.wrap(bytes).putInt(4, 1)
+    val e = intercept[IllegalArgumentException](decode(bytes))
+    assert(e.getMessage.contains("version 1") && e.getMessage.contains("rebuild the index"), e.getMessage)
+  }
+
+  test("bytes cut off inside the array section raise an exception, never a model") {
+    val bytes = encode(cm)
+    val (n, dim, esk) = (cm.size, cm.esklsh.lsh.dim, cm.esklsh)
+    val arraysStart = 8 * 4 + 1 + n * dim * 4 + n * 8 + esk.numArrays * esk.keyLen * dim * 4
+    val ends = esk.arrays.scanLeft(arraysStart.toLong)(_ + _.sizeBytes).map(_.toInt)
+    val tail = cm.rmis.map(r => 16 + 4 + 16 * r.leaves.length + 8).sum + esk.numArrays * 24
+    assert(bytes.length == ends.last + tail, "the layout the cuts are placed by")
+    val cuts = ends.init.flatMap(e => Seq(e, e + 1, e + 7, e + 8, e + 13)) :+ (ends.last - 1)
+    for (cut <- cuts)
+      intercept[java.io.EOFException](decode(java.util.Arrays.copyOf(bytes, cut)))
   }
 }

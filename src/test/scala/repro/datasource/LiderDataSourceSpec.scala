@@ -33,7 +33,6 @@ class LiderDataSourceSpec extends SparkSpec {
       IndexStore.loadCentroidModel(indexDir),
       Array.tabulate(10)(cid =>
         if (IndexStore.clusterExists(indexDir, cid)) IndexStore.loadClusterModel(indexDir, cid) else null),
-      repro.kmeans.KMeansModel(IndexStore.loadCentroidModel(indexDir).vectors),
       params)
     (lider, indexDir, s"$tmp/queries.parquet")
   }
