@@ -59,38 +59,39 @@ final class CoreModel(
 
   /** Full single-core-model search (§3.3.1, five steps): hash the query,
     * re-scale, RMI-predict, expand R = r0·k_m per array in parallel, then
-    * verify candidates by exact score and keep the top k_m (sorted
-    * descending — the in-cluster retrievers sort so LIDER's merge stage
-    * can run a heap merge, §6.2).
-    *
-    * When R ≥ the model's size every array's walk takes every member, so
-    * the members are verified directly and hashing, prediction and
-    * expansion are skipped: the candidate set is the same, and the
-    * collector's strict total order makes the top k independent of the
-    * order candidates arrive in.
+    * verify candidates by exact score and keep the top k_m, sorted
+    * descending.
     */
   def search(q: Array[Float], km: Int): Array[Scored] = {
     VecOps.requireQuery(q, esklsh.lsh.dim)
-    searchHashed(q, km, null, 0)
+    verify(q, candidates(q, km, null, 0), km)
   }
 
-  /** [[search]] for a query already checked and, unless `longKeys` is
-    * null, already hashed under a plane set of key length `longLen` that
+  /** The local rows a top-k_m query verifies: the ESK-LSH candidates of
+    * steps 1–4, or null for every row. When R ≥ the model's size every
+    * array's walk takes every member, so hashing, prediction and expansion
+    * are skipped: the candidate set is the same, and the collector's strict
+    * total order makes the top k independent of the order candidates
+    * arrive in.
+    *
+    * The query must already be checked. Unless `longKeys` is null it is
+    * also already hashed under a plane set of key length `longLen` that
     * this model's planes are a prefix of: each of this model's keys is
     * then the leading `keyLen` bits of that key.
     */
-  private[core] def searchHashed(
-      q: Array[Float], km: Int, longKeys: Array[Long], longLen: Int): Array[Scored] = {
+  private[core] def candidates(q: Array[Float], km: Int, longKeys: Array[Long], longLen: Int): Array[Int] = {
     val range = math.max(1, r0 * km)
-    if (range >= size) return verify(q, Array.range(0, size), km)
+    if (range >= size) return null
     val queryKeys =
       if (longKeys == null) esklsh.hashQuery(q)
       else Array.tabulate(longKeys.length)(h => longKeys(h) >>> (longLen - esklsh.keyLen))
     val starts = Array.tabulate(esklsh.numArrays)(h => predictStart(h, queryKeys(h)))
-    verify(q, esklsh.expandAll(queryKeys, starts, range), km)
+    esklsh.expandAll(queryKeys, starts, range)
   }
 
-  /** Candidate verification: exact scores, top-k_m descending. */
+  /** Candidate verification: exact scores, top-k_m descending; a null
+    * `candidateIdx` verifies every row.
+    */
   def verify(q: Array[Float], candidateIdx: Array[Int], km: Int): Array[Scored] =
     TopK.verify(q, vectors, globalIds, candidateIdx, km)
 }

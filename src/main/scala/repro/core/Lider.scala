@@ -23,7 +23,10 @@ final case class LiderParams(
     clusterCore: CoreModelParams = CoreModelParams(rmiWidth = 5),
     kmeansSample: Int = 100_000,
     kmeansIters: Int = 12,
-    seed: Long = 11L)
+    seed: Long = 11L) {
+  require(c > 0, s"LiderParams.c (clusters) must be positive, got $c")
+  require(c0 > 0, s"LiderParams.c0 (target clusters per query) must be positive, got $c0")
+}
 
 /** Wall-clock nanos of the three construction stages reported in Table 5. */
 final case class BuildStats(clusteringNanos: Long, centroidRetrieverNanos: Long, inClusterNanos: Long)
@@ -31,7 +34,13 @@ final case class BuildStats(clusteringNanos: Long, centroidRetrieverNanos: Long,
 /** LIDER (paper §3.2): layer 1 is a core model over the k-means centroids
   * ("centroids retriever"); layer 2 is one core model per cluster
   * ("in-cluster retrievers"). Search fans out to the c0 target clusters in
-  * parallel and merges per-cluster sorted results with a heap (§6.2).
+  * parallel and selects the global top k from their scored candidates
+  * (§6.2).
+  *
+  * The clusters partition the corpus: every id lives in exactly one
+  * in-cluster retriever. [[Lider.build]] assigns each vector to one
+  * cluster, and a saved index keeps that assignment. So no id reaches the
+  * selection twice, and the selection needs no dedupe.
   */
 final class Lider(
     val centroidsRetriever: CoreModel,
@@ -63,17 +72,26 @@ final class Lider(
       .map(_.id.toInt)
       .filter(cid => inClusterRetrievers(cid) != null)
 
-  /** Full ANN query (§3.3.2): centroids retrieval → in-cluster retrieval
-    * (k_m = k per cluster) → heap-merge to the global top-k. The query is
-    * hashed once, under the shared plane set; each in-cluster search is
-    * [[CoreModel.search]] on those keys' leading bits.
+  /** Full ANN query (§3.3.2): centroids retrieval → in-cluster candidates
+    * → one top-k selection over all of them. The query is hashed once,
+    * under the shared plane set; each cluster's candidates come from
+    * [[CoreModel.candidates]] on those keys' leading bits, and are scored
+    * where they are found.
+    *
+    * The paper keeps the top k_m = k of each cluster and heap-merges the
+    * c0 lists. Under the collector's strict total order (score descending,
+    * then id ascending) and with clusters that share no id, the top k of
+    * the union of the clusters' candidates is exactly that merge, ids and
+    * score bits, so one [[TopK.Collector]] replaces c0 of them and the
+    * merge.
     *
     * In-cluster retrievers are independent, so the c0 target clusters
     * always run concurrently (§6.2's between-cluster parallelism), the
     * query's one fork: no cluster reaches the expansion fork's threshold.
     * A warm fork costs 5–8 µs (4-vCPU Xeon), and a k = 10 query's p50 read
     * 117 µs fanned out against 250 µs serial at MS-8.8M, 328 against
-    * 952 µs at Wiki-21M (DESIGN.md §6).
+    * 952 µs at Wiki-21M (DESIGN.md §6). The selection runs on the calling
+    * thread.
     *
     * k ≤ 0, or a query whose length is not the index dimension or that
     * has a non-finite component (checked by the centroids retriever),
@@ -84,9 +102,18 @@ final class Lider(
     val targets = targetClusters(q, params.c0)
     val keys = queryLsh.hashAll(q)
     val perCluster = Parallel.tabulate(targets.length) { i =>
-      inClusterRetrievers(targets(i)).searchHashed(q, k, keys, queryLsh.keyLen)
+      val cm = inClusterRetrievers(targets(i))
+      val rows = cm.candidates(q, k, keys, queryLsh.keyLen)
+      (rows, TopK.scores(q, cm.vectors, rows))
     }
-    TopK.mergeSorted(perCluster, k)
+    val top = new TopK.Collector(k)
+    var i = 0
+    while (i < targets.length) {
+      val (rows, scores) = perCluster(i)
+      top.offerAll(inClusterRetrievers(targets(i)).globalIds, rows, scores)
+      i += 1
+    }
+    top.result()
   }
 }
 

@@ -3,7 +3,7 @@ package repro.datasource
 import java.io.{DataInputStream, DataOutputStream}
 import repro.core.CoreModel
 import repro.esklsh.{ESKLSH, SortedKeyArray}
-import repro.lsh.RandomHyperplaneLSH
+import repro.lsh.{Hashkey, RandomHyperplaneLSH}
 import repro.rmi.{KeyRescaler, LinearModel, SimplifiedRMI}
 
 /** Binary on-disk format of one core model — the per-cluster index files
@@ -75,14 +75,25 @@ object CoreModelCodec {
     }
   }
 
-  def read(in: DataInputStream): CoreModel = {
+  /** Reads a model that [[write]] wrote into `length` bytes. Each count
+    * (n, dim, H, M, b and every RMI's W) is checked before anything is
+    * allocated by it: a count out of its range, or one that sizes a section
+    * larger than `length` bytes, fails with an `IllegalArgumentException`
+    * naming the field. A file cut short fails with an `EOFException`.
+    */
+  def read(in: DataInputStream, length: Long): CoreModel = {
     require(in.readInt() == Magic, "not a LIDER core-model file")
     val version = in.readInt()
     require(version == Version,
       s"core-model format version $version is not supported (this build reads version $Version); rebuild the index")
-    val n = in.readInt(); val dim = in.readInt()
-    val numKeys = in.readInt(); val keyLen = in.readInt()
-    val b = in.readInt(); val r0 = in.readInt()
+    // Bounds by what fits: a vector is at least one float and its id, a
+    // hash array at least one plane of dim floats, a leaf two doubles.
+    val n = count("n", in.readInt(), 1, length / 12, length)
+    val dim = count("dim", in.readInt(), 1, (length / n - 8) / 4, length)
+    val numKeys = count("H", in.readInt(), 1, length / (4L * dim), length)
+    val keyLen = count("M", in.readInt(), 1, math.min(Hashkey.MaxLen, length / (4L * dim * numKeys)), length)
+    val b = count("b", in.readInt(), 0, Hashkey.MaxLen, length)
+    val r0 = in.readInt()
     val rescaleKeys = in.readBoolean()
 
     val vectors = Array.fill(n) {
@@ -105,11 +116,17 @@ object CoreModelCodec {
     val rescalers = Array.fill(numKeys)(KeyRescaler(in.readLong(), in.readLong(), in.readLong()))
     val rmis = Array.fill(numKeys) {
       val root = LinearModel(in.readDouble(), in.readDouble())
-      val w = in.readInt()
+      val w = count("W", in.readInt(), 1, length / 16, length)
       val leaves = Array.fill(w)(LinearModel(in.readDouble(), in.readDouble()))
       SimplifiedRMI(root, leaves, in.readLong())
     }
 
     new CoreModel(vectors, globalIds, new ESKLSH(lsh, arrays, b), rescalers, rmis, r0, rescaleKeys)
+  }
+
+  private def count(field: String, value: Int, min: Int, max: Long, length: Long): Int = {
+    require(value >= min && value <= max,
+      s"core-model field $field = $value is outside [$min, $max] for a file of $length bytes; the file is corrupt")
+    value
   }
 }

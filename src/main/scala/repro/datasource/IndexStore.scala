@@ -69,7 +69,7 @@ object IndexStore {
 
   private def readModel(f: File): CoreModel = {
     val in = new DataInputStream(new BufferedInputStream(new FileInputStream(f), 1 << 16))
-    try CoreModelCodec.read(in)
+    try CoreModelCodec.read(in, f.length())
     finally in.close()
   }
 }

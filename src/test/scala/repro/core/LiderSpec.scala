@@ -1,10 +1,12 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropertySupport
 import repro.baselines.Flat
 import repro.retrieval.{Metrics, RetrievalData}
 
-class LiderSpec extends AnyFunSuite {
+class LiderSpec extends AnyFunSuite with PropertySupport {
 
   private lazy val corpus = RetrievalData.corpus(2000, 32, seed = 77)
   private lazy val params = LiderParams(
@@ -114,6 +116,49 @@ class LiderSpec extends AnyFunSuite {
       assert(bits(lider.search(q, k)) == bits(TopK.mergeSorted(perCluster, k)), s"k = $k")
     }
     assert(covered > 0 && expanded > 0, s"covered $covered, expanded $expanded")
+  }
+
+  test("with an exhaustive budget (c0 = c, r0·k ≥ the largest cluster) search equals Flat, ids and score bits") {
+    val gen = for {
+      n <- Gen.choose(180, 600)
+      dim <- Gen.choose(4, 24)
+      c <- Gen.choose(1, 12)
+      k <- Gen.frequency(3 -> Gen.choose(1, 20), 1 -> Gen.choose(21, 120), 1 -> Gen.choose(n - 5, n + 5))
+      seed <- Gen.choose(0L, 1000000L)
+    } yield (n, dim, c, k, seed)
+    checkProp(Prop.forAll(gen) { case (n, dim, c, k, seed) =>
+      val data = RetrievalData.corpus(n, dim, seed)
+      val p = LiderParams(c = c, c0 = c,
+        centroidCore = CoreModelParams(numArrays = 3, rmiWidth = 2, r0 = 1),
+        clusterCore = CoreModelParams(numArrays = 3, rmiWidth = 2),
+        kmeansSample = n, kmeansIters = 4, seed = seed)
+      val built = Lider.build(data.vectors, data.ids, p)._1
+      // The smallest r0 with r0·k ≥ the largest cluster, so that cluster
+      // sits on the full-cover boundary.
+      val largest = built.inClusterRetrievers.filter(_ != null).map(_.size).max
+      val r0 = (largest + k - 1) / k
+      val exhaustive = new Lider(built.centroidsRetriever, built.inClusterRetrievers.map { cm =>
+        if (cm == null) null
+        else new CoreModel(cm.vectors, cm.globalIds, cm.esklsh, cm.rescalers, cm.rmis, r0, cm.rescaleKeys)
+      }, p)
+      val exact = new Flat(data.vectors, data.ids)
+      val rnd = new scala.util.Random(seed)
+      (0 until 6).forall { i =>
+        val q = repro.linalg.VecOps.normalized(
+          data.vectors(rnd.nextInt(n)).map(x => x + rnd.nextGaussian().toFloat * 0.1f * i))
+        bits(exhaustive.search(q, k)) == bits(exact.search(q, k))
+      }
+    }, minSuccessful = 30)
+  }
+
+  test("LiderParams rejects c <= 0 and c0 <= 0 when constructed, naming the field") {
+    for (bad <- Seq(0, -1, Int.MinValue)) {
+      val ec = intercept[IllegalArgumentException](params.copy(c = bad))
+      assert(ec.getMessage.contains(s"LiderParams.c (clusters) must be positive, got $bad"), ec.getMessage)
+      val ec0 = intercept[IllegalArgumentException](params.copy(c0 = bad))
+      assert(ec0.getMessage.contains(s"LiderParams.c0 (target clusters per query) must be positive, got $bad"),
+        ec0.getMessage)
+    }
   }
 
   test("queries searched concurrently match a sequential loop, ids and score bits") {

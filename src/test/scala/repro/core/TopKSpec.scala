@@ -7,12 +7,6 @@ import repro.linalg.VecOps
 
 class TopKSpec extends AnyFunSuite with PropertySupport {
 
-  private val scoredGen: Gen[Array[Scored]] =
-    Gen.choose(0, 100).flatMap { n =>
-      Gen.listOfN(n, Gen.zip(Gen.choose(0L, 30L), Gen.choose(-1.0, 1.0)))
-        .map(_.map { case (id, s) => Scored(id, s) }.toArray)
-    }
-
   private def collect(xs: Array[Scored], k: Int): Array[Scored] = {
     val top = new TopK.Collector(k)
     xs.foreach(s => top.offer(s.id, s.score))
@@ -27,24 +21,60 @@ class TopKSpec extends AnyFunSuite with PropertySupport {
       Double.MinPositiveValue, Double.MaxValue, java.lang.Double.longBitsToDouble(0x7ff8000000000123L)),
     Gen.choose(-1.0, 1.0))
 
+  /** Lists of up to 500 hits with repeated scores and ids, fed best first,
+    * worst first or shuffled, and k up to 200 or at the list's edges
+    * (1, n − 1, n, n + 3): k = 100 already builds a seven-level heap.
+    */
+  private val deepGen: Gen[(Array[Scored], Int)] = for {
+    n <- Gen.frequency(1 -> Gen.choose(0, 20), 3 -> Gen.choose(21, 500))
+    distinctScores <- Gen.choose(1, math.max(1, n))
+    pool <- Gen.listOfN(distinctScores, Gen.choose(-1.0, 1.0))
+    picks <- Gen.listOfN(n, Gen.choose(0, distinctScores - 1))
+    ids <- Gen.listOfN(n, Gen.choose(0L, 2L * n))
+    order <- Gen.oneOf("best first", "worst first", "shuffled")
+    seed <- Gen.long
+    k <- Gen.oneOf(Gen.choose(1, 200), Gen.oneOf(1, n - 1, n, n + 3).map(math.max(1, _)))
+  } yield {
+    val xs = ids.zip(picks).map { case (id, p) => Scored(id, pool(p)) }.toArray
+    val fed = order match {
+      case "best first" => xs.sorted(TopK.ordering)
+      case "worst first" => xs.sorted(TopK.ordering).reverse
+      case _ => new scala.util.Random(seed).shuffle(xs.toSeq).toArray
+    }
+    (fed, k)
+  }
+
   test("collector returns at most k elements, sorted descending by score") {
-    checkProp(Prop.forAll(Gen.zip(scoredGen, Gen.choose(1, 20))) { case (xs, k) =>
+    checkProp(Prop.forAll(deepGen) { case (xs, k) =>
       val got = collect(xs, k)
       got.length == math.min(k, xs.length) &&
         got.sliding(2).forall(p => p.length < 2 || p(0).score >= p(1).score)
-    })
+    }, minSuccessful = 300)
   }
 
   test("collector matches full sort + take") {
-    checkProp(Prop.forAll(Gen.zip(scoredGen, Gen.choose(1, 20))) { case (xs, k) =>
+    checkProp(Prop.forAll(deepGen) { case (xs, k) =>
       collect(xs, k).toSeq == xs.sorted(TopK.ordering).take(k).toSeq
-    })
+    }, minSuccessful = 300)
+  }
+
+  test("collector with k past its first allocation grows and keeps the same hits") {
+    val rnd = new scala.util.Random(17)
+    for (n <- Seq(1500, 5000); k <- Seq(1024, 1025, 3000)) {
+      val xs = Array.fill(n)(Scored(rnd.nextInt(2 * n).toLong, rnd.nextInt(400) / 400.0))
+      assert(collect(xs, k).toSeq == xs.sorted(TopK.ordering).take(k).toSeq, s"n = $n, k = $k")
+    }
   }
 
   test("collector keeps the same raw score bits as a sort under the tuple ordering, special values included") {
     // Distinct ids, as candidates are: two NaNs with different payloads and
     // one id would tie under both orderings and could come out either way.
-    val gen = Gen.zip(Gen.choose(0, 40).flatMap(n => Gen.listOfN(n, specialScore)), Gen.long, Gen.choose(1, 20))
+    val gen = for {
+      n <- Gen.frequency(1 -> Gen.choose(0, 40), 1 -> Gen.choose(41, 300))
+      scores <- Gen.listOfN(n, specialScore)
+      seed <- Gen.long
+      k <- Gen.oneOf(Gen.choose(1, 200), Gen.oneOf(1, n - 1, n, n + 3).map(math.max(1, _)))
+    } yield (scores, seed, k)
     checkProp(Prop.forAll(gen) { case (scores, seed, k) =>
       val ids = new scala.util.Random(seed).shuffle(scores.indices.map(_.toLong))
       val xs = ids.zip(scores).map { case (id, s) => Scored(id, s) }.toArray
@@ -81,7 +111,8 @@ class TopKSpec extends AnyFunSuite with PropertySupport {
   private def referenceVerify(
       q: Array[Float], vectors: Array[Array[Float]], ids: Array[Long], candidates: Array[Int], k: Int): Array[Scored] = {
     val top = new TopK.Collector(k)
-    candidates.foreach(c => top.offer(ids(c), VecOps.dot(q, vectors(c))))
+    val rows = if (candidates == null) vectors.indices.toArray else candidates
+    rows.foreach(c => top.offer(ids(c), VecOps.dot(q, vectors(c))))
     top.result()
   }
 
@@ -98,7 +129,8 @@ class TopKSpec extends AnyFunSuite with PropertySupport {
       count <- Gen.frequency(3 -> Gen.choose(0, 9), 1 -> Gen.choose(10, 40))
       candidates <- Gen.listOfN(count, Gen.choose(0, n - 1))
       k <- Gen.choose(1, 12)
-    } yield (q, vectors.toArray, candidates.distinct.toArray, k)
+      everyRow <- Gen.frequency(4 -> false, 1 -> true) // null candidates: every row, in place
+    } yield (q, vectors.toArray, if (everyRow) null else candidates.distinct.toArray, k)
     def bits(a: Array[Scored]) = a.map(s => (s.id, java.lang.Double.doubleToRawLongBits(s.score))).toSeq
     checkProp(Prop.forAll(gen) { case (q, vectors, candidates, k) =>
       val ids = Array.tabulate(vectors.length)(i => 100L + i)

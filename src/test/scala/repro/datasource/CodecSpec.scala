@@ -18,7 +18,7 @@ class CodecSpec extends AnyFunSuite {
   }
 
   private def decode(bytes: Array[Byte]): CoreModel =
-    CoreModelCodec.read(new DataInputStream(new ByteArrayInputStream(bytes)))
+    CoreModelCodec.read(new DataInputStream(new ByteArrayInputStream(bytes)), bytes.length)
 
   private def roundTrip(model: CoreModel): CoreModel = decode(encode(model))
 
@@ -95,5 +95,22 @@ class CodecSpec extends AnyFunSuite {
     val cuts = ends.init.flatMap(e => Seq(e, e + 1, e + 7, e + 8, e + 13)) :+ (ends.last - 1)
     for (cut <- cuts)
       intercept[java.io.EOFException](decode(java.util.Arrays.copyOf(bytes, cut)))
+  }
+
+  test("a count field set negative or huge fails with an IllegalArgumentException naming it, never a model or an OOM") {
+    val bytes = encode(cm)
+    val (n, dim, esk) = (cm.size, cm.esklsh.lsh.dim, cm.esklsh)
+    val arraysStart = 8 * 4 + 1 + n * dim * 4 + n * 8 + esk.numArrays * esk.keyLen * dim * 4
+    val rmisStart = arraysStart + esk.arrays.map(_.sizeBytes).sum.toInt + esk.numArrays * 24
+    // Each RMI: root (16 bytes), then W, then W leaves of 16 bytes and n.
+    val wAt = cm.rmis.scanLeft(rmisStart)((at, r) => at + 16 + 4 + 16 * r.leaves.length + 8).init.map(_ + 16)
+    val fields = Seq("n" -> 8, "dim" -> 12, "H" -> 16, "M" -> 20, "b" -> 24) ++ wAt.map("W" -> _)
+    for ((at, w) <- wAt.zip(cm.rmis)) assert(java.nio.ByteBuffer.wrap(bytes).getInt(at) == w.leaves.length)
+    for ((field, at) <- fields; bad <- Seq(-1, Int.MinValue, 1 << 20, Int.MaxValue)) {
+      val corrupt = bytes.clone()
+      java.nio.ByteBuffer.wrap(corrupt).putInt(at, bad)
+      val e = intercept[IllegalArgumentException](decode(corrupt))
+      assert(e.getMessage.contains(s"field $field = $bad "), e.getMessage)
+    }
   }
 }
