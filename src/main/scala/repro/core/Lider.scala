@@ -38,9 +38,9 @@ final case class BuildStats(clusteringNanos: Long, centroidRetrieverNanos: Long,
   * (§6.2).
   *
   * The clusters partition the corpus: every id lives in exactly one
-  * in-cluster retriever. [[Lider.build]] assigns each vector to one
-  * cluster, and a saved index keeps that assignment. So no id reaches the
-  * selection twice, and the selection needs no dedupe.
+  * in-cluster retriever: [[Lider.build]] rejects repeated global ids and
+  * assigns each vector to one cluster, and a saved index keeps that. So no
+  * id reaches the selection twice, and the selection needs no dedupe.
   */
 final class Lider(
     val centroidsRetriever: CoreModel,
@@ -141,7 +141,10 @@ object Lider {
       vectors: Array[Array[Float]],
       globalIds: Array[Long],
       params: LiderParams): (Lider, BuildStats) = {
-    require(vectors.length == globalIds.length)
+    require(vectors.length == globalIds.length, s"${vectors.length} vectors but ${globalIds.length} global ids")
+    require(vectors.nonEmpty, "LIDER needs a non-empty corpus")
+    val seen = new java.util.HashSet[Long](globalIds.length * 2)
+    for (id <- globalIds) require(seen.add(id), s"global id $id appears twice; LIDER needs distinct ids")
 
     val t0 = System.nanoTime()
     val sample = KMeans.sample(vectors, params.kmeansSample, params.seed)

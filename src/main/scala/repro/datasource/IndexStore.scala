@@ -49,11 +49,11 @@ object IndexStore {
   def loadCentroidModel(dir: String): CoreModel =
     readModel(new File(dir, "centroid_model.bin"))
 
-  /** Loads one cluster's core model; null-cluster files are absent for
-    * empty clusters, which callers must not request (the centroids
-    * retriever only indexes non-empty clusters' centroids, but an empty
-    * cluster can still win — [[Lider.targetClusters]] filters those, and
-    * the scan planner mirrors that with [[clusterExists]]).
+  /** Loads one cluster's core model. An empty cluster has no file, and
+    * callers must not request it. The centroids retriever indexes all
+    * `km.k` centroids, empty clusters' included, so an empty cluster can
+    * win layer 1: [[Lider.targetClusters]] filters those, and the scan
+    * planner mirrors that with [[clusterExists]].
     */
   def loadClusterModel(dir: String, cid: Int): CoreModel =
     readModel(new File(dir, s"clusters/$cid.bin"))

@@ -38,18 +38,20 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
     // frontier r at the next position. `start` itself is consumed first via r.
     var r = math.min(n - 1, math.max(0, start))
     var l = r - 1
-    // Each frontier's dist_e is computed once, when that frontier moves.
-    var dl = if (l >= 0) Hashkey.distExtended(arr.key(l), queryKey, arr.m, b) else 0.0
-    var dr = Hashkey.distExtended(arr.key(r), queryKey, arr.m, b)
+    // Each frontier's entry is read, and its dist_e computed, once: when that frontier moves.
+    var el = if (l >= 0) arr.entry(l) else 0L
+    var er = arr.entry(r)
+    var dl = if (l >= 0) Hashkey.distExtended(arr.keyOf(el), queryKey, arr.m, b) else 0.0
+    var dr = Hashkey.distExtended(arr.keyOf(er), queryKey, arr.m, b)
     var filled = 0
     while (filled < take) {
       val takeLeft = r >= n || (l >= 0 && dl < dr)
       if (takeLeft) {
-        out(filled) = arr.id(l); l -= 1
-        if (l >= 0) dl = Hashkey.distExtended(arr.key(l), queryKey, arr.m, b)
+        out(filled) = arr.idOf(el); l -= 1
+        if (l >= 0) { el = arr.entry(l); dl = Hashkey.distExtended(arr.keyOf(el), queryKey, arr.m, b) }
       } else {
-        out(filled) = arr.id(r); r += 1
-        if (r < n) dr = Hashkey.distExtended(arr.key(r), queryKey, arr.m, b)
+        out(filled) = arr.idOf(er); r += 1
+        if (r < n) { er = arr.entry(r); dr = Hashkey.distExtended(arr.keyOf(er), queryKey, arr.m, b) }
       }
       filled += 1
     }
@@ -84,36 +86,35 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
   def expandIterativeGlobal(queryKeys: Array[Long], starts: Array[Int], total: Int): Array[Int] = {
     val hN = arrays.length
     val ls = new Array[Int](hN); val rs = new Array[Int](hN)
+    // Each frontier's entry, read when the frontier moves; -1 (no entry is) once that side is exhausted.
+    val els = new Array[Long](hN); val ers = new Array[Long](hN)
+    def entryAt(h: Int, i: Int): Long = if (i >= 0 && i < arrays(h).length) arrays(h).entry(i) else -1L
     var h = 0
     while (h < hN) {
-      val n = arrays(h).length
-      rs(h) = math.min(math.max(0, starts(h)), math.max(0, n - 1))
+      rs(h) = math.min(math.max(0, starts(h)), math.max(0, arrays(h).length - 1))
       ls(h) = rs(h) - 1
+      els(h) = entryAt(h, ls(h)); ers(h) = entryAt(h, rs(h))
       h += 1
     }
     val out = new scala.collection.mutable.ArrayBuffer[Int](total)
-    var filled = 0
-    val capacity = arrays.map(_.length.toLong).sum
-    val target = math.min(total.toLong, capacity).toInt
-    while (filled < target) {
+    while (out.length < total) {
       var bestH = -1; var bestLeft = false; var bestD = Double.MaxValue
       h = 0
       while (h < hN) {
         val arr = arrays(h)
-        if (ls(h) >= 0) {
-          val d = Hashkey.distOriginal(arr.key(ls(h)), queryKeys(h), arr.m)
+        if (els(h) >= 0) {
+          val d = Hashkey.distOriginal(arr.keyOf(els(h)), queryKeys(h), arr.m)
           if (d < bestD) { bestD = d; bestH = h; bestLeft = true }
         }
-        if (rs(h) < arr.length) {
-          val d = Hashkey.distOriginal(arr.key(rs(h)), queryKeys(h), arr.m)
+        if (ers(h) >= 0) {
+          val d = Hashkey.distOriginal(arr.keyOf(ers(h)), queryKeys(h), arr.m)
           if (d < bestD) { bestD = d; bestH = h; bestLeft = false }
         }
         h += 1
       }
       if (bestH < 0) return out.distinct.toArray // all arrays exhausted
-      if (bestLeft) { out += arrays(bestH).id(ls(bestH)); ls(bestH) -= 1 }
-      else { out += arrays(bestH).id(rs(bestH)); rs(bestH) += 1 }
-      filled += 1
+      if (bestLeft) { out += arrays(bestH).idOf(els(bestH)); ls(bestH) -= 1; els(bestH) = entryAt(bestH, ls(bestH)) }
+      else { out += arrays(bestH).idOf(ers(bestH)); rs(bestH) += 1; ers(bestH) = entryAt(bestH, rs(bestH)) }
     }
     out.distinct.toArray
   }
@@ -153,6 +154,7 @@ object ESKLSH {
 
   /** Hashes all vectors under `numArrays` compound functions and builds the
     * sorted arrays. Hashing is parallel over vectors (offline build).
+    * A `keyLen` too wide for 63-bit entries ([[SortedKeyArray]]) fails before anything is hashed.
     *
     * @param sharedLsh hyperplanes to reuse (truncated to `keyLen`) instead
     *                  of drawing fresh ones — LIDER shares one plane set
@@ -166,6 +168,7 @@ object ESKLSH {
       seed: Long,
       sharedLsh: Option[RandomHyperplaneLSH] = None): ESKLSH = {
     require(vectors.nonEmpty, "ESK-LSH needs vectors")
+    SortedKeyArray.requireFits(keyLen, vectors.length)
     val dim = vectors(0).length
     val lsh = sharedLsh match {
       case Some(master) =>

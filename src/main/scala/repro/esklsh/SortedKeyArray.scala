@@ -5,39 +5,43 @@ import java.io.{DataInputStream, DataOutputStream}
 /** One sorted hashkey array of ESK-LSH (the yellow boxes of paper Fig. 1).
   *
   * The array is one bit stream of `Long` words. Position `i` is one entry
-  * of `m + idBits` bits, `idBits = ceil(log2 length)`: the key, then the
-  * local index of the vector whose hashkey it is. Order is (key asc, id
-  * asc). Both fields scale with the cluster, like the paper's string
-  * hashkeys do, so LIDER's per-cluster hashkey shrink (M = ceil(log2
-  * cluster-size) ≪ corpus-level M) shows up as real memory savings in
-  * Table 5. The persisted form ([[write]]/[[read]]) is the same words.
+  * `(key << idBits) | id` of at most 63 bits, `idBits = ceil(log2 length)`
+  * and `id` the local index of the vector whose hashkey it is, so entry
+  * order is (key asc, id asc). Both fields scale with the cluster, like the
+  * paper's string hashkeys do, so LIDER's per-cluster hashkey shrink (M =
+  * ceil(log2 cluster-size) ≪ corpus-level M) shows up as real memory
+  * savings in Table 5. The persisted form ([[write]]/[[read]]) is the same words.
   */
 final class SortedKeyArray private (private val bits: Array[Long], val length: Int, val m: Int)
     extends Serializable {
 
   private val idBits = SortedKeyArray.idBitsFor(length)
   private val width = m + idBits
+  private val idMask = (1L << idBits) - 1
 
-  /** The key at sorted position `i`. */
-  def key(i: Int): Long = SortedKeyArray.get(bits, i.toLong * width, m)
+  /** The entry at sorted position `i`, in one read; [[keyOf]] and [[idOf]] split it. */
+  def entry(i: Int): Long = SortedKeyArray.get(bits, i.toLong * width, width)
 
-  /** The local vector id at sorted position `i`. */
-  def id(i: Int): Int = SortedKeyArray.get(bits, i.toLong * width + m, idBits).toInt
+  def keyOf(entry: Long): Long = entry >>> idBits
+
+  def idOf(entry: Long): Int = (entry & idMask).toInt
 
   /** Materializes all keys (build-time convenience for RMI training and
     * tests — not retained by the index).
     */
-  def keys: Array[Long] = Array.tabulate(length)(key)
+  def keys: Array[Long] = Array.tabulate(length)(i => keyOf(entry(i)))
 
   /** Bytes held by this array's bit stream. */
   def sizeBytes: Long = bits.length.toLong * 8
 
-  /** Insertion point of `key`: the first position whose key is ≥ `key`. */
+  /** Insertion point of the `m`-bit key `k`: the first entry ≥ `k << idBits`. */
   def insertionPoint(k: Long): Int = {
+    require(k >>> m == 0, s"key $k is not an $m-bit key")
+    val first = k << idBits
     var lo = 0; var hi = length
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
-      if (key(mid) < k) lo = mid + 1 else hi = mid
+      if (entry(mid) < first) lo = mid + 1 else hi = mid
     }
     lo
   }
@@ -51,9 +55,16 @@ object SortedKeyArray {
   private def idBitsFor(n: Int): Int =
     if (n <= 1) 1 else 64 - java.lang.Long.numberOfLeadingZeros((n - 1).toLong)
 
+  /** Rejects a key length `m` whose entries over `n` positions exceed 63 bits. */
+  private[esklsh] def requireFits(m: Int, n: Int): Unit = {
+    val idBits = idBitsFor(n)
+    require(n >= 0 && m >= 1 && m + idBits <= 63, s"sorted-array key length M = $m does not fit n = $n: " +
+      s"an entry holds M key bits and ceil(log2 n) = $idBits id bits in at most 63, so M must be in [1, ${63 - idBits}]")
+  }
+
   private def words(n: Int, m: Int): Int = ((n.toLong * (m + idBitsFor(n)) + 63) >>> 6).toInt
 
-  /** The `width` bits (1–64) at bit `pos`, most significant first. */
+  /** The `width` bits (1–63) at bit `pos`, most significant first. */
   private def get(bits: Array[Long], pos: Long, width: Int): Long = {
     val word = (pos >>> 6).toInt
     val off = (pos & 63).toInt
@@ -73,46 +84,25 @@ object SortedKeyArray {
 
   /** Reads the words `write` wrote for `n` entries of `m`-bit keys. */
   def read(in: DataInputStream, n: Int, m: Int): SortedKeyArray = {
-    require(n >= 0 && m >= 1 && m <= 64, s"bad sorted-array shape: n=$n, m=$m")
+    requireFits(m, n)
     new SortedKeyArray(Array.fill(words(n, m))(in.readLong()), n, m)
   }
 
-  /** Sorts (hashkey, id) pairs into one bit stream.
-    *
-    * Fast path: when an entry fits in 63 bits, sort the entries themselves
-    * (`(key << idBits) | id`) primitively — same order (key asc, id asc on
-    * ties) with zero boxing — and write each as it is. Falls back to a
-    * boxed sort for longer entries.
+  /** Sorts the entries `(key << idBits) | id` as primitive `Long`s and
+    * writes each as it is into one bit stream.
     */
   def build(hashkeys: Array[Long], m: Int): SortedKeyArray = {
     val n = hashkeys.length
+    requireFits(m, n)
     val idBits = idBitsFor(n)
     val width = m + idBits
+    val entries = new Array[Long](n)
+    var i = 0
+    while (i < n) { entries(i) = (hashkeys(i) << idBits) | i.toLong; i += 1 }
+    java.util.Arrays.sort(entries)
     val bits = new Array[Long](words(n, m))
-    if (width <= 63) {
-      val sortable = new Array[Long](n)
-      var i = 0
-      while (i < n) { sortable(i) = (hashkeys(i) << idBits) | i.toLong; i += 1 }
-      java.util.Arrays.sort(sortable)
-      i = 0
-      while (i < n) { put(bits, i.toLong * width, width, sortable(i)); i += 1 }
-    } else {
-      val boxed = Array.tabulate(n)(Integer.valueOf)
-      java.util.Arrays.sort(
-        boxed,
-        (a: Integer, b: Integer) => {
-          val c = java.lang.Long.compare(hashkeys(a), hashkeys(b))
-          if (c != 0) c else Integer.compare(a, b)
-        }
-      )
-      var i = 0
-      while (i < n) {
-        val src = boxed(i).intValue
-        put(bits, i.toLong * width, m, hashkeys(src))
-        put(bits, i.toLong * width + m, idBits, src.toLong)
-        i += 1
-      }
-    }
+    i = 0
+    while (i < n) { put(bits, i.toLong * width, width, entries(i)); i += 1 }
     new SortedKeyArray(bits, n, m)
   }
 }

@@ -38,17 +38,20 @@ object VecOps {
     while (i < n) { out(i) = dot(a, rows(i)); i += 1 }
   }
 
-  /** Rejects a query whose length is not the index dimension `dim`, or
-    * that has a `NaN` or infinite component (it would hash to arbitrary
-    * bits and score `NaN` against every vector).
+  /** Rejects a query whose length is not the index dimension `dim`, with a
+    * `NaN` or infinite component (it would hash to arbitrary bits and score
+    * `NaN` against every vector), or of all zeros (cosine is undefined).
     */
   def requireQuery(q: Array[Float], dim: Int): Unit = {
     require(q.length == dim, s"query has ${q.length} dimensions, the index has $dim")
+    var nonZero = false
     var i = 0
     while (i < q.length) {
       if (!java.lang.Float.isFinite(q(i))) throw new IllegalArgumentException(s"query component $i is ${q(i)}")
+      nonZero |= q(i) != 0f
       i += 1
     }
+    require(nonZero, "query is the zero vector, for which cosine is undefined")
   }
 
   /** Euclidean (L2) norm. */

@@ -10,8 +10,8 @@ package repro.lsh
   *   (element-wise comparison from most- to least-significant element,
   *   which for binary elements is lexicographic order — paper §4.2).
   *
-  * That identity is what lets the sorted hashkey arrays be plain sorted
-  * `Array[Long]`, with positions located by binary search or RMI prediction.
+  * That identity lets [[repro.esklsh.SortedKeyArray]] sort and search its
+  * entries `(key << idBits) | id` as plain `Long`s.
   */
 object Hashkey {
   /** Maximum supported key length (bits of a Long minus sign headroom). */

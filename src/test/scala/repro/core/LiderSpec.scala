@@ -161,6 +161,18 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
     }
   }
 
+  test("build rejects an empty corpus") {
+    val e = intercept[IllegalArgumentException](Lider.build(Array.empty[Array[Float]], Array.empty[Long], params))
+    assert(e.getMessage.contains("non-empty corpus"), e.getMessage)
+  }
+
+  test("build rejects duplicate global ids, naming the first repeat") {
+    val ids = corpus.ids.clone()
+    ids(700) = ids(30); ids(900) = ids(10)
+    val e = intercept[IllegalArgumentException](Lider.build(corpus.vectors, ids, params))
+    assert(e.getMessage.contains(s"global id ${ids(30)} appears twice"), e.getMessage)
+  }
+
   test("queries searched concurrently match a sequential loop, ids and score bits") {
     // Each search forks over its target clusters inside a parallel stream
     // that already occupies the common pool: nested fan-out.

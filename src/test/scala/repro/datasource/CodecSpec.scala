@@ -43,7 +43,7 @@ class CodecSpec extends AnyFunSuite {
     for (h <- 0 until cm.esklsh.numArrays) {
       val (a, b) = (got.esklsh.arrays(h), cm.esklsh.arrays(h))
       assert(a.length == b.length)
-      for (i <- 0 until b.length) assert(a.key(i) == b.key(i) && a.id(i) == b.id(i), s"array $h, position $i")
+      for (i <- 0 until b.length) assert(a.entry(i) == b.entry(i), s"array $h, position $i")
     }
   }
 
@@ -95,6 +95,21 @@ class CodecSpec extends AnyFunSuite {
     val cuts = ends.init.flatMap(e => Seq(e, e + 1, e + 7, e + 8, e + 13)) :+ (ends.last - 1)
     for (cut <- cuts)
       intercept[java.io.EOFException](decode(java.util.Arrays.copyOf(bytes, cut)))
+  }
+
+  test("a file whose sorted-array entries exceed 63 bits fails at load, naming M and n") {
+    // n = 3 takes 2 id bits, so the widest key is M = 61; this file has 62.
+    val buf = new ByteArrayOutputStream()
+    val out = new DataOutputStream(buf)
+    out.write(encode(cm), 0, 8) // magic and version
+    Seq(3, 1, 1, 62, 3, 3).foreach(out.writeInt) // n, dim, H, M, b, r0
+    out.writeBoolean(true)
+    Seq(1f, -1f, 0.5f).foreach(out.writeFloat) // vectors
+    Seq(0L, 1L, 2L).foreach(out.writeLong) // global ids
+    Seq.fill(62)(1f).foreach(out.writeFloat) // planes
+    Seq.fill(3)(0L).foreach(out.writeLong) // 3 · 64 bits of entries
+    val e = intercept[IllegalArgumentException](decode(buf.toByteArray))
+    assert(e.getMessage.contains("M = 62 does not fit n = 3") && e.getMessage.contains("[1, 61]"), e.getMessage)
   }
 
   test("a count field set negative or huge fails with an IllegalArgumentException naming it, never a model or an OOM") {

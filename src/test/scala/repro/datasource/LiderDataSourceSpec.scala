@@ -61,14 +61,23 @@ class LiderDataSourceSpec extends SparkSpec {
   }
 
   test("DSv2 topK equals the in-memory LIDER search") {
+    // All 25 queries, then seeded random query_id IN pushdown sets: exactly
+    // the kept queries come back, each with Lider.search's ids and score bits.
     val (lider, indexDir, queriesPath) = built
-    val df = LiderSearch.topK(spark, indexDir, queriesPath, k = 5)
-    val got = df.collect()
-      .groupBy(_.getLong(0))
-      .view.mapValues(_.sortBy(_.getInt(3)).map(_.getLong(1)).toSeq).toMap
-    for (qi <- 0 until 25) {
-      val expected = lider.search(corpus.vectors(qi * 31), 5).map(_.id).toSeq
-      assert(got(qi.toLong) == expected, s"query $qi")
+    val rnd = new scala.util.Random(17)
+    val keptSets = (0 until 25).map(_.toLong) +:
+      Seq.fill(3)(rnd.shuffle((0 until 25).toList).take(1 + rnd.nextInt(8)).map(_.toLong))
+    def hit(id: Long, score: Double) = (id, java.lang.Double.doubleToRawLongBits(score))
+    for (kept <- keptSets) {
+      val df = LiderSearch.topK(spark, indexDir, queriesPath, k = 5).filter(col("query_id").isin(kept: _*))
+      val got = df.collect()
+        .groupBy(_.getLong(0))
+        .view.mapValues(_.sortBy(_.getInt(3)).map(r => hit(r.getLong(1), r.getDouble(2))).toSeq).toMap
+      assert(got.keySet == kept.toSet, s"kept $kept")
+      for (qi <- kept) {
+        val expected = lider.search(corpus.vectors(qi.toInt * 31), 5).map(s => hit(s.id, s.score)).toSeq
+        assert(got(qi) == expected, s"query $qi of $kept")
+      }
     }
   }
 

@@ -18,6 +18,9 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
     }
   }
 
+  private def key(arr: SortedKeyArray, i: Int): Long = arr.keyOf(arr.entry(i))
+  private def id(arr: SortedKeyArray, i: Int): Int = arr.idOf(arr.entry(i))
+
   private lazy val data = cluster(600, 24, seed = 1)
   private lazy val esk = ESKLSH.build(data, numArrays = 8, keyLen = 12, b = 3, seed = 5)
 
@@ -36,7 +39,7 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
   test("array positions agree with re-hashing the vectors") {
     val a0 = esk.arrays(0)
     for (pos <- Seq(0, 100, 599))
-      assert(a0.keys(pos) == esk.lsh.hash(data(a0.id(pos)), 0))
+      assert(a0.keys(pos) == esk.lsh.hash(data(id(a0, pos)), 0))
   }
 
   test("expandOne returns exactly `range` distinct positions' ids") {
@@ -61,7 +64,7 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
     val start = arr.insertionPoint(keys(0))
     val got = esk.expandOne(0, keys(0), start, 40)
     // Every collected id's key is within the contiguous window around start.
-    val positions = got.map(id => (0 until arr.length).indexWhere(arr.id(_) == id)).sorted
+    val positions = got.map(id => (0 until arr.length).indexWhere(p => this.id(arr, p) == id)).sorted
     assert(positions.last - positions.head == positions.length - 1, "window must be contiguous")
   }
 
@@ -77,7 +80,7 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
     // no candidate outside the window on the skipped side can be strictly
     // closer than every collected one... verify the weaker, exact property:
     // all keys strictly inside the window bounds are collected.
-    val positions = got.map(id => (0 until arr.length).indexWhere(arr.id(_) == id)).sorted
+    val positions = got.map(id => (0 until arr.length).indexWhere(p => this.id(arr, p) == id)).sorted
     assert(positions.length == range)
     assert(gotMax >= 0.0)
   }
@@ -146,9 +149,9 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
       val takeLeft =
         if (r >= n) true
         else if (l < 0) false
-        else Hashkey.distExtended(arr.key(l), queryKey, arr.m, e.b) < Hashkey.distExtended(arr.key(r), queryKey, arr.m, e.b)
-      if (takeLeft) { out(filled) = arr.id(l); l -= 1 }
-      else { out(filled) = arr.id(r); r += 1 }
+        else Hashkey.distExtended(key(arr, l), queryKey, arr.m, e.b) < Hashkey.distExtended(key(arr, r), queryKey, arr.m, e.b)
+      if (takeLeft) { out(filled) = id(arr, l); l -= 1 }
+      else { out(filled) = id(arr, r); r += 1 }
     }
     out
   }
@@ -169,7 +172,8 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
     val gen = for {
       n <- Gen.oneOf(Gen.choose(1, 60), Gen.choose(61, 200))
       numArrays <- Gen.choose(1, 4)
-      keyLen <- Gen.choose(1, Hashkey.MaxLen)
+      // An entry holds the key and ceil(log2 n) id bits in at most 63 bits.
+      keyLen <- Gen.choose(1, 63 - math.max(1, 32 - Integer.numberOfLeadingZeros(n - 1)))
       b <- Gen.choose(1, 4)
       seed <- Gen.choose(0L, 1000L)
       start <- Gen.oneOf(Gen.oneOf(-3, -1, 0, 1, n - 2, n - 1, n, n + 4), Gen.choose(-2, n + 2))
@@ -194,6 +198,13 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
     assert(ESKLSH.keyLenFor(1024) == 10)
     assert(ESKLSH.keyLenFor(1_000_000) == 20)
     assert(ESKLSH.keyLenFor(Int.MaxValue) <= Hashkey.MaxLen)
+  }
+
+  test("build rejects keys whose entries exceed 63 bits, naming M and n") {
+    // 600 vectors take 10 id bits, so M = 53 is the widest key.
+    val e = intercept[IllegalArgumentException](ESKLSH.build(data, numArrays = 2, keyLen = 54, b = 3, seed = 5))
+    assert(e.getMessage.contains("M = 54 does not fit n = 600") && e.getMessage.contains("[1, 53]"), e.getMessage)
+    assert(ESKLSH.build(data, numArrays = 2, keyLen = 53, b = 3, seed = 5).arrays.forall(_.length == 600))
   }
 
   test("build rejects empty input") {

@@ -10,14 +10,21 @@ class SortedKeyArraySpec extends AnyFunSuite with PropertySupport {
   private val keysGen: Gen[Array[Long]] =
     Gen.choose(1, 200).flatMap(n => Gen.listOfN(n, Gen.choose(0L, 255L)).map(_.toArray))
 
-  private def ids(arr: SortedKeyArray): Seq[Int] = (0 until arr.length).map(arr.id)
+  private def key(arr: SortedKeyArray, i: Int): Long = arr.keyOf(arr.entry(i))
+  private def id(arr: SortedKeyArray, i: Int): Int = arr.idOf(arr.entry(i))
+  private def ids(arr: SortedKeyArray): Seq[Int] = (0 until arr.length).map(id(arr, _))
 
-  /** `m`-bit keys, n 1–80, a third of them repeats; m ≥ 57 takes the boxed
-    * path (m + idBits > 63) for the larger n.
+  /** ceil(log2 n), at least 1: the id bits of an n-entry array. */
+  private def idBits(n: Int): Int = if (n <= 1) 1 else 32 - Integer.numberOfLeadingZeros(n - 1)
+
+  /** `m`-bit keys, n 1–80, a third of them repeats. An entry holds at most
+    * 63 bits, so m goes up to 63 − idBits(n); half the draws sit in the
+    * top six widths, where entries straddle word boundaries most.
     */
   private val shapeGen: Gen[(Int, Array[Long])] = for {
-    m <- Gen.oneOf(Gen.choose(2, 62), Gen.choose(56, 62))
     n <- Gen.choose(1, 80)
+    top = 63 - idBits(n)
+    m <- Gen.oneOf(Gen.choose(2, top), Gen.choose(top - 5, top))
     ks <- Gen.listOfN(n, Gen.choose(0L, (1L << m) - 1))
     dups <- Gen.listOfN(n, Gen.choose(0, 2))
   } yield (m, ks.indices.map(i => if (dups(i) == 0 && i > 0) ks(i / 2) else ks(i)).toArray)
@@ -39,7 +46,7 @@ class SortedKeyArraySpec extends AnyFunSuite with PropertySupport {
   test("each position's key matches the input key of its id") {
     checkProp(Prop.forAll(keysGen) { ks =>
       val arr = SortedKeyArray.build(ks, 8)
-      arr.keys.indices.forall(i => arr.keys(i) == ks(arr.id(i)))
+      arr.keys.indices.forall(i => arr.keys(i) == ks(id(arr, i)))
     })
   }
 
@@ -70,12 +77,12 @@ class SortedKeyArraySpec extends AnyFunSuite with PropertySupport {
     })
   }
 
-  test("key and id at every position equal a sort of (key, id) pairs, on both sort paths") {
+  test("every position equals a sort of (key, id) pairs") {
     checkProp(Prop.forAll(shapeGen) { case (m, ks) =>
       val arr = SortedKeyArray.build(ks, m)
       val ref = ks.indices.map(i => (ks(i), i)).sorted
       arr.length == ks.length && arr.m == m &&
-        ref.indices.forall(i => arr.key(i) == ref(i)._1 && arr.id(i) == ref(i)._2)
+        ref.indices.forall(i => key(arr, i) == ref(i)._1 && id(arr, i) == ref(i)._2)
     }, minSuccessful = 300)
   }
 
@@ -88,8 +95,23 @@ class SortedKeyArraySpec extends AnyFunSuite with PropertySupport {
       val got = SortedKeyArray.read(in, ks.length, m)
       buf.size == arr.sizeBytes && in.available == 0 && got.length == arr.length && got.m == m &&
         got.sizeBytes == arr.sizeBytes &&
-        (0 until arr.length).forall(i => got.key(i) == arr.key(i) && got.id(i) == arr.id(i))
+        (0 until arr.length).forall(i => got.entry(i) == arr.entry(i))
     }, minSuccessful = 300)
+  }
+
+  test("build and read reject entries over 63 bits, naming M and n") {
+    // n = 100 takes 7 id bits, so M = 56 is the widest key.
+    val ks = Array.tabulate(100)(_.toLong)
+    val widest = SortedKeyArray.build(ks, 56)
+    assert((0 until 100).forall(i => key(widest, i) == i && id(widest, i) == i))
+    val message = "M = 57 does not fit n = 100"
+    val eb = intercept[IllegalArgumentException](SortedKeyArray.build(ks, 57))
+    assert(eb.getMessage.contains(message) && eb.getMessage.contains("[1, 56]"), eb.getMessage)
+    val buf = new ByteArrayOutputStream()
+    widest.write(new DataOutputStream(buf))
+    val er = intercept[IllegalArgumentException](
+      SortedKeyArray.read(new DataInputStream(new ByteArrayInputStream(buf.toByteArray)), 100, 57))
+    assert(er.getMessage.contains(message), er.getMessage)
   }
 
   test("sizeBytes scales with the key length") {

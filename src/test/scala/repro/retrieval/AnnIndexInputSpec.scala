@@ -28,9 +28,13 @@ class AnnIndexInputSpec extends AnyFunSuite {
     }
   }
 
-  test("every AnnIndex, Lider.search and CoreModel.search reject a NaN or infinite query component") {
+  test("every search rejects non-finite and zero queries") {
+    // Every AnnIndex, Lider.search and CoreModel.search: a NaN or infinite
+    // component at either end, and the all-zero query (no cosine).
     val q = corpus.vectors(3)
-    for ((name, search) <- searches; x <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity); at <- Seq(0, q.length - 1))
-      withClue(s"$name, $x at $at: ")(assertThrows[IllegalArgumentException](search(q.updated(at, x), 10)))
+    val nonFinite = for (x <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity); at <- Seq(0, q.length - 1))
+      yield s"$x at $at" -> q.updated(at, x)
+    for ((name, search) <- searches; (what, bad) <- nonFinite :+ ("zero" -> new Array[Float](q.length)))
+      withClue(s"$name, $what: ")(assertThrows[IllegalArgumentException](search(bad, 10)))
   }
 }
