@@ -101,7 +101,8 @@ object CoreModel {
   /** Indexing workflow of a core model (§3.3.1): hash the corpus, sort the
     * hashkey arrays, re-scale keys, and train one RMI per array on
     * (re-scaled key → position) pairs. RMIs train in parallel across
-    * arrays (offline build).
+    * arrays (offline build). Vectors of differing lengths or with a
+    * non-finite component are rejected first ([[VecOps.requireCorpus]]).
     */
   def build(
       vectors: Array[Array[Float]],
@@ -110,6 +111,7 @@ object CoreModel {
       sharedLsh: Option[repro.lsh.RandomHyperplaneLSH] = None): CoreModel = {
     require(vectors.length == globalIds.length, "vectors/ids mismatch")
     require(vectors.nonEmpty, "core model needs vectors")
+    VecOps.requireCorpus(vectors)
     val m = params.keyLen.getOrElse(ESKLSH.keyLenFor(vectors.length))
     val esklsh = ESKLSH.build(vectors, params.numArrays, m, params.b, params.seed, sharedLsh)
     val n = vectors.length

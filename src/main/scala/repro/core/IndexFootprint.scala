@@ -48,10 +48,8 @@ object IndexFootprint {
     val centroids = l.centroidsRetriever
     val centroidVecs = centroids.size.toLong * centroids.esklsh.lsh.dim * 4L
     val cr = coreModelBytes(centroids)
-    val irs = l.inClusterRetrievers.iterator.filter(_ != null)
-      .map(coreModelBytes(_, includePlanes = false)).sum
-    val sharedPlanes = l.inClusterRetrievers.iterator.filter(_ != null)
-      .map(cm => planesBytes(cm.esklsh)).maxOption.getOrElse(0L)
+    val irs = l.inClusterRetrievers.iterator.map(coreModelBytes(_, includePlanes = false)).sum
+    val sharedPlanes = l.inClusterRetrievers.iterator.map(cm => planesBytes(cm.esklsh)).max
     centroidVecs + cr + irs + sharedPlanes
   }
 }

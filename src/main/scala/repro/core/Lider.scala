@@ -1,14 +1,16 @@
 package repro.core
 
 import repro.kmeans.KMeans
-import repro.linalg.Parallel
+import repro.linalg.{Parallel, VecOps}
 import repro.lsh.RandomHyperplaneLSH
 
 /** Parameters of the full two-layer LIDER (paper §3.2 / §7.2.1 defaults,
   * scaled — see DESIGN.md §5).
   *
-  * @param c            number of k-means clusters
-  * @param c0           centroids retrieved per query (target clusters)
+  * @param c            number of k-means clusters; the index keeps the
+  *                     c′ ≤ c of them that have members
+  * @param c0           centroids retrieved per query (target clusters);
+  *                     c0 ≥ c′ probes every cluster
   * @param centroidCore core-model params of the centroids retriever
   *                     (paper: H = 10, W_c = 10)
   * @param clusterCore  core-model params of each in-cluster retriever
@@ -37,6 +39,10 @@ final case class BuildStats(clusteringNanos: Long, centroidRetrieverNanos: Long,
   * parallel and selects the global top k from their scored candidates
   * (§6.2).
   *
+  * Clusters are numbered `0 until numClusters`, and each has members
+  * ([[Lider.build]] drops empty k-means clusters). The constructor rejects
+  * a missing in-cluster retriever, or centroid ids other than those numbers.
+  *
   * The clusters partition the corpus: every id lives in exactly one
   * in-cluster retriever: [[Lider.build]] rejects repeated global ids and
   * assigns each vector to one cluster, and a saved index keeps that. So no
@@ -44,9 +50,17 @@ final case class BuildStats(clusteringNanos: Long, centroidRetrieverNanos: Long,
   */
 final class Lider(
     val centroidsRetriever: CoreModel,
-    val inClusterRetrievers: Array[CoreModel], // null for empty clusters
+    val inClusterRetrievers: Array[CoreModel],
     val params: LiderParams)
     extends Serializable {
+
+  require(inClusterRetrievers.nonEmpty, "LIDER needs at least one cluster")
+  for (cid <- inClusterRetrievers.indices) {
+    require(inClusterRetrievers(cid) != null, s"cluster $cid has no in-cluster retriever")
+    val centroids = centroidsRetriever.globalIds.count(_ == cid)
+    require(centroids == 1, s"cluster $cid has $centroids centroids, not one")
+  }
+  require(centroidsRetriever.size == numClusters, s"${centroidsRetriever.size} centroids for $numClusters clusters")
 
   /** The longest in-cluster plane set. [[Lider.build]] gives every cluster
     * a prefix of one shared set, and a loaded index must too: a query is
@@ -54,23 +68,20 @@ final class Lider(
     * bits.
     */
   private val queryLsh: RandomHyperplaneLSH = {
-    val present = inClusterRetrievers.filter(_ != null)
-    require(present.nonEmpty, "LIDER needs at least one non-empty cluster")
-    val longest = present.maxBy(_.esklsh.keyLen).esklsh.lsh
-    for (cid <- inClusterRetrievers.indices; cm = inClusterRetrievers(cid); if cm != null)
-      require(cm.esklsh.lsh.isPrefixOf(longest),
+    val longest = inClusterRetrievers.maxBy(_.esklsh.keyLen).esklsh.lsh
+    for (cid <- inClusterRetrievers.indices)
+      require(inClusterRetrievers(cid).esklsh.lsh.isPrefixOf(longest),
         s"cluster $cid's hyperplanes are not a prefix of the shared set of the other clusters")
     longest
   }
 
   def numClusters: Int = inClusterRetrievers.length
 
-  /** The c0 target cluster ids for a query (layer-1 retrieval). */
+  /** The min(c0, [[numClusters]]) target cluster ids for a query
+    * (layer-1 retrieval): c0 ≥ [[numClusters]] probes every cluster.
+    */
   def targetClusters(q: Array[Float], c0: Int): Array[Int] =
-    centroidsRetriever
-      .search(q, c0)
-      .map(_.id.toInt)
-      .filter(cid => inClusterRetrievers(cid) != null)
+    centroidsRetriever.search(q, c0).map(_.id.toInt)
 
   /** Full ANN query (§3.3.2): centroids retrieval → in-cluster candidates
     * → one top-k selection over all of them. The query is hashed once,
@@ -133,9 +144,15 @@ object Lider {
     * lane-per-pair kernels over transposed double tables, which the JIT
     * vectorises; each lane sums in `VecOps.sqDist`'s order, so the clusters
     * are bit-identical to a per-pair loop's (see
-    * [[repro.kmeans.KMeansModel]]). Stage 2: centroids retriever. Stage 3:
-    * all in-cluster retrievers, built in parallel (independent clusters).
-    * Returns stage wall times for Table 5.
+    * [[repro.kmeans.KMeansModel]]). Only the c′ ≤ c clusters with members
+    * are kept (duplicate vectors leave some empty), in k-means order, as
+    * clusters `0 until c′`. Stage 2: centroids retriever over the
+    * kept centroids. Stage 3: all in-cluster retrievers, built in parallel
+    * (independent clusters). Returns stage wall times for Table 5.
+    *
+    * Before clustering, a corpus vector whose length differs from the
+    * first's, or that has a NaN or infinite component, fails with an
+    * `IllegalArgumentException` naming its index; zero vectors are kept.
     */
   def build(
       vectors: Array[Array[Float]],
@@ -146,37 +163,35 @@ object Lider {
     val seen = new java.util.HashSet[Long](globalIds.length * 2)
     for (id <- globalIds) require(seen.add(id), s"global id $id appears twice; LIDER needs distinct ids")
 
+    VecOps.requireCorpus(vectors)
+
     val t0 = System.nanoTime()
     val sample = KMeans.sample(vectors, params.kmeansSample, params.seed)
     val km = KMeans.fit(sample, params.c, params.kmeansIters, params.seed)
     val assign = KMeans.assign(km, vectors)
-    val t1 = System.nanoTime()
-
-    val centroidIds = Array.tabulate(km.k)(_.toLong)
-    val centroidsRetriever = CoreModel.build(km.centroids, centroidIds, params.centroidCore)
-    val t2 = System.nanoTime()
-
     val members = Array.fill(km.k)(new scala.collection.mutable.ArrayBuffer[Int])
     var i = 0
     while (i < assign.length) { members(assign(i)) += i; i += 1 }
+    val (centroids, clusters) = km.centroids.zip(members).filter(_._2.nonEmpty).unzip
+    val t1 = System.nanoTime()
+
+    val centroidIds = Array.tabulate(centroids.length)(_.toLong)
+    val centroidsRetriever = CoreModel.build(centroids, centroidIds, params.centroidCore)
+    val t2 = System.nanoTime()
+
     // One hyperplane set shared by every in-cluster retriever (truncated to
     // each cluster's key length) — hyperplanes are data-independent, so
     // sharing changes nothing statistically but keeps the Table 5 memory
     // accounting honest across ~1000 clusters.
-    val maxClusterN = members.iterator.map(_.size).max
+    val maxClusterN = clusters.iterator.map(_.size).max
     val sharedLsh = repro.lsh.RandomHyperplaneLSH(
       vectors(0).length,
       params.clusterCore.numArrays,
       params.clusterCore.keyLen.getOrElse(repro.esklsh.ESKLSH.keyLenFor(math.max(2, maxClusterN))),
       params.clusterCore.seed)
-    val inCluster = Parallel.tabulate(km.k) { cid =>
-      val idx = members(cid)
-      if (idx.isEmpty) null
-      else {
-        val vs = idx.map(vectors).toArray
-        val ids = idx.map(globalIds).toArray
-        CoreModel.build(vs, ids, params.clusterCore, Some(sharedLsh))
-      }
+    val inCluster = Parallel.tabulate(clusters.length) { cid =>
+      val idx = clusters(cid)
+      CoreModel.build(idx.map(vectors).toArray, idx.map(globalIds).toArray, params.clusterCore, Some(sharedLsh))
     }
     val t3 = System.nanoTime()
 

@@ -3,14 +3,15 @@ package repro.datasource
 import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, File, FileInputStream, FileOutputStream}
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
-import repro.core.{CoreModel, Lider}
+import repro.core.{CoreModel, Lider, LiderParams}
 import scala.jdk.CollectionConverters._
 
 /** On-disk layout of a persisted LIDER index (DESIGN.md §4):
   *
   *   dir/meta.txt            flat key=value: dim, c, c0
   *   dir/centroid_model.bin  centroids retriever (CoreModelCodec)
-  *   dir/clusters/<cid>.bin  one core model per non-empty cluster
+  *   dir/clusters/<cid>.bin  one core model per cluster, cid = 0 until c
+  *                           (every cluster has members: [[Lider.build]])
   *
   * The corpus embeddings stay in their source Parquet — the index only
   * stores what it needs for search (per-cluster vectors ride inside the
@@ -32,12 +33,19 @@ object IndexStore {
     Files.write(Paths.get(dir, "meta.txt"), meta.getBytes(StandardCharsets.UTF_8))
 
     writeModel(new File(base, "centroid_model.bin"), lider.centroidsRetriever)
-    var cid = 0
-    while (cid < lider.numClusters) {
-      val cm = lider.inClusterRetrievers(cid)
-      if (cm != null) writeModel(new File(base, s"clusters/$cid.bin"), cm)
-      cid += 1
-    }
+    for (cid <- 0 until lider.numClusters)
+      writeModel(new File(base, s"clusters/$cid.bin"), lider.inClusterRetrievers(cid))
+  }
+
+  /** The whole index, every cluster decoded. Of [[LiderParams]] only c and
+    * c0 are stored; the build-only fields take their defaults. A missing
+    * file fails with an exception naming it.
+    */
+  def load(dir: String): Lider = {
+    val meta = readMeta(dir)
+    val c = meta("c").toInt
+    new Lider(loadCentroidModel(dir), Array.tabulate(c)(loadClusterModel(dir, _)),
+      LiderParams(c = c, c0 = meta("c0").toInt))
   }
 
   def readMeta(dir: String): Map[String, String] =
@@ -49,12 +57,7 @@ object IndexStore {
   def loadCentroidModel(dir: String): CoreModel =
     readModel(new File(dir, "centroid_model.bin"))
 
-  /** Loads one cluster's core model. An empty cluster has no file, and
-    * callers must not request it. The centroids retriever indexes all
-    * `km.k` centroids, empty clusters' included, so an empty cluster can
-    * win layer 1: [[Lider.targetClusters]] filters those, and the scan
-    * planner mirrors that with [[clusterExists]].
-    */
+  /** Loads one cluster's core model. */
   def loadClusterModel(dir: String, cid: Int): CoreModel =
     readModel(new File(dir, s"clusters/$cid.bin"))
 

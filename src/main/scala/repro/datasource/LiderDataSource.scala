@@ -122,9 +122,7 @@ private[datasource] class LiderScan(options: Map[String, String], queryIdFilter:
     val byCluster = scala.collection.mutable.LinkedHashMap[Int, scala.collection.mutable.ArrayBuffer[(Long, Array[Float])]]()
     queries.foreach { case (qid, emb) =>
       centroidModel.search(emb, c0).foreach { hit =>
-        val cid = hit.id.toInt
-        if (IndexStore.clusterExists(indexDir, cid))
-          byCluster.getOrElseUpdate(cid, new scala.collection.mutable.ArrayBuffer) += ((qid, emb))
+        byCluster.getOrElseUpdate(hit.id.toInt, new scala.collection.mutable.ArrayBuffer) += ((qid, emb))
       }
     }
     byCluster.iterator.map { case (cid, qs) =>

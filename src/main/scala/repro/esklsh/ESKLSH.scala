@@ -81,7 +81,8 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
   /** Original SK-LSH expansion (the baseline this paper improves on):
     * iterative — at every step scan *all* arrays' frontiers and consume the
     * globally closest hashkey by the *original* distance (Eq. 4, KD ≡ 1
-    * under binary hashes). Collects `total` candidates overall.
+    * under binary hashes). Collects `total` candidates overall (at most
+    * every entry), then drops repeats as [[expandAll]] does.
     */
   def expandIterativeGlobal(queryKeys: Array[Long], starts: Array[Int], total: Int): Array[Int] = {
     val hN = arrays.length
@@ -96,8 +97,10 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
       els(h) = entryAt(h, ls(h)); ers(h) = entryAt(h, rs(h))
       h += 1
     }
-    val out = new scala.collection.mutable.ArrayBuffer[Int](total)
-    while (out.length < total) {
+    // Each step takes one entry, so this fills before every frontier is exhausted.
+    val out = new Array[Int](math.max(0L, math.min(total.toLong, hN.toLong * size)).toInt)
+    var n = 0
+    while (n < out.length) {
       var bestH = -1; var bestLeft = false; var bestD = Double.MaxValue
       h = 0
       while (h < hN) {
@@ -112,11 +115,11 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
         }
         h += 1
       }
-      if (bestH < 0) return out.distinct.toArray // all arrays exhausted
-      if (bestLeft) { out += arrays(bestH).idOf(els(bestH)); ls(bestH) -= 1; els(bestH) = entryAt(bestH, ls(bestH)) }
-      else { out += arrays(bestH).idOf(ers(bestH)); rs(bestH) += 1; ers(bestH) = entryAt(bestH, rs(bestH)) }
+      if (bestLeft) { out(n) = arrays(bestH).idOf(els(bestH)); ls(bestH) -= 1; els(bestH) = entryAt(bestH, ls(bestH)) }
+      else { out(n) = arrays(bestH).idOf(ers(bestH)); rs(bestH) += 1; ers(bestH) = entryAt(bestH, rs(bestH)) }
+      n += 1
     }
-    out.distinct.toArray
+    distinct(Array(out))
   }
 
   /** The ids of all arrays in first-seen order, each once. Ids are local

@@ -44,14 +44,35 @@ object VecOps {
     */
   def requireQuery(q: Array[Float], dim: Int): Unit = {
     require(q.length == dim, s"query has ${q.length} dimensions, the index has $dim")
-    var nonZero = false
+    require(requireFinite(q, "query"), "query is the zero vector, for which cosine is undefined")
+  }
+
+  /** Rejects a corpus whose vector `i` differs in length from vector 0, or
+    * has a `NaN` or infinite component (it would poison a centroid and hash
+    * to arbitrary bits), naming `i`. Zero vectors pass.
+    */
+  def requireCorpus(vectors: Array[Array[Float]]): Unit = {
+    val dim = if (vectors.isEmpty) 0 else vectors(0).length
     var i = 0
-    while (i < q.length) {
-      if (!java.lang.Float.isFinite(q(i))) throw new IllegalArgumentException(s"query component $i is ${q(i)}")
-      nonZero |= q(i) != 0f
+    while (i < vectors.length) {
+      require(vectors(i).length == dim, s"corpus vector $i has ${vectors(i).length} dimensions, vector 0 has $dim")
+      requireFinite(vectors(i), s"corpus vector $i")
       i += 1
     }
-    require(nonZero, "query is the zero vector, for which cosine is undefined")
+  }
+
+  /** Throws an `IllegalArgumentException` naming `what` and the component
+    * if `v` has a `NaN` or infinite one; returns whether any is non-zero.
+    */
+  private def requireFinite(v: Array[Float], what: => String): Boolean = {
+    var nonZero = false
+    var i = 0
+    while (i < v.length) {
+      if (!java.lang.Float.isFinite(v(i))) throw new IllegalArgumentException(s"$what component $i is ${v(i)}")
+      nonZero |= v(i) != 0f
+      i += 1
+    }
+    nonZero
   }
 
   /** Euclidean (L2) norm. */

@@ -59,7 +59,7 @@ class IndexFootprintSpec extends AnyFunSuite {
   test("liderBytes counts the in-cluster hyperplanes once (shared planes)") {
     val (lider, _) = Lider.build(corpus.vectors, corpus.ids,
       LiderParams(c = 6, c0 = 2, kmeansSample = 1200))
-    val irs = lider.inClusterRetrievers.filter(_ != null)
+    val irs = lider.inClusterRetrievers
     val manual = lider.centroidsRetriever.size.toLong * 32 * 4 +
       IndexFootprint.coreModelBytes(lider.centroidsRetriever) +
       irs.map(IndexFootprint.coreModelBytes(_, includePlanes = false)).sum +
@@ -70,7 +70,7 @@ class IndexFootprintSpec extends AnyFunSuite {
   test("in-cluster retrievers really share their hyperplane row arrays") {
     val (lider, _) = Lider.build(corpus.vectors, corpus.ids,
       LiderParams(c = 6, c0 = 2, kmeansSample = 1200))
-    val irs = lider.inClusterRetrievers.filter(_ != null)
+    val irs = lider.inClusterRetrievers
     assert(irs.length >= 2)
     val a = irs(0).esklsh.lsh.planes(0)(0)
     val b = irs(1).esklsh.lsh.planes(0)(0)

@@ -23,9 +23,9 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
   }
 
   test("every corpus vector lives in exactly one in-cluster retriever") {
-    val counts = lider.inClusterRetrievers.filter(_ != null).map(_.size)
+    val counts = lider.inClusterRetrievers.map(_.size)
     assert(counts.sum == corpus.n)
-    val allIds = lider.inClusterRetrievers.filter(_ != null).flatMap(_.globalIds).sorted
+    val allIds = lider.inClusterRetrievers.flatMap(_.globalIds).sorted
     assert(allIds.toSeq == corpus.ids.toSeq)
   }
 
@@ -41,9 +41,13 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
   }
 
   test("targetClusters returns at most c0 existing clusters") {
-    val t = lider.targetClusters(corpus.vectors(0), 5)
-    assert(t.length <= 5)
-    assert(t.forall(cid => lider.inClusterRetrievers(cid) != null))
+    // min(c0, c′) distinct clusters, every one once c0 ≥ c′: on the corpus
+    // above (c′ = c), and on six distinct vectors (c′ < c, below).
+    for ((l, vs) <- Seq(lider -> corpus.vectors, dup -> dupVectors); c0 <- 1 to l.numClusters + 3; i <- 0 until 6) {
+      val t = l.targetClusters(vs(i), c0)
+      assert(t.length == math.min(c0, l.numClusters) && t.distinct.length == t.length, s"c0 = $c0")
+      assert(t.forall(cid => cid >= 0 && cid < l.numClusters))
+    }
   }
 
   test("search returns k sorted results") {
@@ -89,7 +93,7 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
     val targets = lider.targetClusters(q, params.c0).toSet
     val memberOf = new Array[Int](corpus.n)
     lider.inClusterRetrievers.zipWithIndex.foreach { case (cm, cid) =>
-      if (cm != null) cm.globalIds.foreach(id => memberOf(id.toInt) = cid)
+      cm.globalIds.foreach(id => memberOf(id.toInt) = cid)
     }
     lider.search(q, 10).foreach(s => assert(targets.contains(memberOf(s.id.toInt))))
   }
@@ -100,7 +104,7 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
     val rnd = new scala.util.Random(5)
     val queries = Array.tabulate(25)(i =>
       repro.linalg.VecOps.normalized(corpus.vectors(i * 37).map(x => x + rnd.nextGaussian().toFloat * 0.2f)))
-    val sizes = lider.inClusterRetrievers.filter(_ != null).map(_.size)
+    val sizes = lider.inClusterRetrievers.map(_.size)
     var covered, expanded = 0
     // r0·k against cluster sizes of about 100: k = 1 and 10 expand every
     // cluster, k = 40 covers some, k = 200 covers all.
@@ -119,36 +123,109 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
   }
 
   test("with an exhaustive budget (c0 = c, r0·k ≥ the largest cluster) search equals Flat, ids and score bits") {
+    // c0 runs from c to c + 3, and one corpus in four repeats a few distinct
+    // vectors, so that k-means leaves clusters empty and c0 exceeds c′.
     val gen = for {
       n <- Gen.choose(180, 600)
       dim <- Gen.choose(4, 24)
       c <- Gen.choose(1, 12)
+      c0 <- Gen.choose(c, c + 3)
+      distinct <- Gen.frequency(3 -> Gen.const(n), 1 -> Gen.choose(1, 12))
       k <- Gen.frequency(3 -> Gen.choose(1, 20), 1 -> Gen.choose(21, 120), 1 -> Gen.choose(n - 5, n + 5))
       seed <- Gen.choose(0L, 1000000L)
-    } yield (n, dim, c, k, seed)
-    checkProp(Prop.forAll(gen) { case (n, dim, c, k, seed) =>
-      val data = RetrievalData.corpus(n, dim, seed)
-      val p = LiderParams(c = c, c0 = c,
+    } yield (n, dim, c, c0, distinct, k, seed)
+    checkProp(Prop.forAll(gen) { case (n, dim, c, c0, distinct, k, seed) =>
+      val data = LiderSpec.repeating(n, dim, distinct, seed)
+      val p = LiderParams(c = c, c0 = c0,
         centroidCore = CoreModelParams(numArrays = 3, rmiWidth = 2, r0 = 1),
         clusterCore = CoreModelParams(numArrays = 3, rmiWidth = 2),
         kmeansSample = n, kmeansIters = 4, seed = seed)
-      val built = Lider.build(data.vectors, data.ids, p)._1
-      // The smallest r0 with r0·k ≥ the largest cluster, so that cluster
-      // sits on the full-cover boundary.
-      val largest = built.inClusterRetrievers.filter(_ != null).map(_.size).max
-      val r0 = (largest + k - 1) / k
-      val exhaustive = new Lider(built.centroidsRetriever, built.inClusterRetrievers.map { cm =>
-        if (cm == null) null
-        else new CoreModel(cm.vectors, cm.globalIds, cm.esklsh, cm.rescalers, cm.rmis, r0, cm.rescaleKeys)
-      }, p)
-      val exact = new Flat(data.vectors, data.ids)
+      val built = Lider.build(data, ids(n), p)._1
+      val exhaustive = withFullCover(built, k)
+      val exact = new Flat(data, ids(n))
       val rnd = new scala.util.Random(seed)
       (0 until 6).forall { i =>
-        val q = repro.linalg.VecOps.normalized(
-          data.vectors(rnd.nextInt(n)).map(x => x + rnd.nextGaussian().toFloat * 0.1f * i))
+        val q = repro.linalg.VecOps.normalized(data(rnd.nextInt(n)).map(x => x + rnd.nextGaussian().toFloat * 0.1f * i))
         bits(exhaustive.search(q, k)) == bits(exact.search(q, k))
       }
     }, minSuccessful = 30)
+  }
+
+  private def ids(n: Int) = Array.tabulate(n)(_.toLong)
+
+  /** `l` with the smallest r0 for which r0·k ≥ its largest cluster, so that
+    * cluster sits on the full-cover boundary.
+    */
+  private def withFullCover(l: Lider, k: Int): Lider = {
+    val r0 = (l.inClusterRetrievers.map(_.size).max + k - 1) / k
+    new Lider(l.centroidsRetriever, l.inClusterRetrievers.map { cm =>
+      new CoreModel(cm.vectors, cm.globalIds, cm.esklsh, cm.rescalers, cm.rmis, r0, cm.rescaleKeys)
+    }, l.params)
+  }
+
+  // Six distinct vectors, each 100 times: k-means with c = 12 leaves
+  // clusters empty, and build drops them.
+  private lazy val dupVectors = LiderSpec.repeating(600, 32, distinct = 6, seed = 5)
+  private lazy val dupParams = params.copy(c = 12, c0 = 4, kmeansSample = 600)
+  private lazy val dup = Lider.build(dupVectors, ids(600), dupParams)._1
+
+  test("build drops the clusters k-means leaves empty: c′ < c clusters hold every id exactly once") {
+    assert(dup.numClusters < dupParams.c && dup.numClusters > 0, s"c′ = ${dup.numClusters}")
+    assert(dup.inClusterRetrievers.forall(_.size > 0))
+    assert(dup.centroidsRetriever.globalIds.sorted.toSeq == (0L until dup.numClusters))
+    assert(dup.inClusterRetrievers.flatMap(_.globalIds).sorted.toSeq == (0L until 600L))
+  }
+
+  test("with c0 ≥ c′ and r0·k ≥ the largest cluster, search over duplicate vectors equals Flat, ids and score bits") {
+    val exact = new Flat(dupVectors, ids(600))
+    val rnd = new scala.util.Random(3)
+    for (c0 <- dup.numClusters to dup.numClusters + 3; k <- Seq(1, 10, 150)) {
+      val exhaustive = withFullCover(new Lider(dup.centroidsRetriever, dup.inClusterRetrievers, dupParams.copy(c0 = c0)), k)
+      for (i <- 0 until 6) {
+        val q = repro.linalg.VecOps.normalized(dupVectors(i).map(x => x + rnd.nextGaussian().toFloat * 0.1f))
+        assert(bits(exhaustive.search(q, k)) == bits(exact.search(q, k)), s"c0 = $c0, k = $k")
+      }
+    }
+  }
+
+  test("the constructor rejects a missing cluster and centroid ids other than 0 until c, naming the cluster") {
+    val c = lider.numClusters
+    val missing = lider.inClusterRetrievers.clone()
+    missing(3) = null
+    val e = intercept[IllegalArgumentException](new Lider(lider.centroidsRetriever, missing, params))
+    assert(e.getMessage.contains("cluster 3 has no in-cluster retriever"), e.getMessage)
+    val centroids = lider.centroidsRetriever.vectors
+    def withIds(ids: Array[Long]) = {
+      val retriever = CoreModel.build(Array.tabulate(ids.length)(i => centroids(i % c)), ids, params.centroidCore)
+      intercept[IllegalArgumentException](new Lider(retriever, lider.inClusterRetrievers, params)).getMessage
+    }
+    val outOfRange = Array.tabulate(c)(_.toLong); outOfRange(7) = c
+    assert(withIds(outOfRange).contains("cluster 7 has 0 centroids, not one"))
+    val twice = Array.tabulate(c)(_.toLong); twice(7) = 2
+    assert(withIds(twice).contains("cluster 2 has 2 centroids, not one"))
+    assert(withIds(Array.tabulate(c - 1)(_.toLong)).contains(s"cluster ${c - 1} has 0 centroids, not one"))
+    assert(withIds(Array.tabulate(c + 1)(_.toLong)).contains(s"${c + 1} centroids for $c clusters"))
+  }
+
+  test("build rejects a corpus vector of another length or with a non-finite component, naming it; zero vectors pass") {
+    for (bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
+      val vs = corpus.vectors.clone()
+      vs(321) = vs(321).updated(17, bad)
+      val e = intercept[IllegalArgumentException](Lider.build(vs, corpus.ids, params))
+      assert(e.getMessage.contains(s"corpus vector 321 component 17 is $bad"), e.getMessage)
+      val ec = intercept[IllegalArgumentException](CoreModel.build(vs, corpus.ids, params.clusterCore))
+      assert(ec.getMessage.contains(s"corpus vector 321 component 17 is $bad"), ec.getMessage)
+    }
+    val vs = corpus.vectors.clone()
+    vs(654) = vs(654).take(31)
+    val e = intercept[IllegalArgumentException](Lider.build(vs, corpus.ids, params))
+    assert(e.getMessage.contains("corpus vector 654 has 31 dimensions, vector 0 has 32"), e.getMessage)
+    val ec = intercept[IllegalArgumentException](CoreModel.build(vs, corpus.ids, params.clusterCore))
+    assert(ec.getMessage.contains("corpus vector 654 has 31 dimensions, vector 0 has 32"), ec.getMessage)
+    val zeros = corpus.vectors.clone()
+    zeros(0) = new Array[Float](32); zeros(999) = new Array[Float](32)
+    val withZeros = Lider.build(zeros, corpus.ids, params)._1
+    assert(withZeros.inClusterRetrievers.map(_.size).sum == corpus.n)
   }
 
   test("LiderParams rejects c <= 0 and c0 <= 0 when constructed, naming the field") {
@@ -188,8 +265,7 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
     val clusters = lider.inClusterRetrievers.clone()
     // The last cluster of the shortest key length is never the one the
     // others are checked against.
-    val present = clusters.indices.filter(clusters(_) != null)
-    val cid = present.filter(c => clusters(c).esklsh.keyLen == present.map(clusters(_).esklsh.keyLen).min).last
+    val cid = clusters.indices.filter(c => clusters(c).esklsh.keyLen == clusters.map(_.esklsh.keyLen).min).last
     val own = clusters(cid)
     clusters(cid) = CoreModel.build(own.vectors, own.globalIds, params.clusterCore.copy(seed = 99))
     val e = intercept[IllegalArgumentException](new Lider(lider.centroidsRetriever, clusters, params))
@@ -198,12 +274,9 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
 
   test("clusters whose planes are equal copies, as a loaded index's are, are accepted") {
     val copies = lider.inClusterRetrievers.map { cm =>
-      if (cm == null) null
-      else {
-        val lsh = repro.lsh.RandomHyperplaneLSH.fromPlanes(cm.esklsh.lsh.planes.map(_.map(_.clone)))
-        new CoreModel(cm.vectors, cm.globalIds, new repro.esklsh.ESKLSH(lsh, cm.esklsh.arrays, cm.esklsh.b),
-          cm.rescalers, cm.rmis, cm.r0, cm.rescaleKeys)
-      }
+      val lsh = repro.lsh.RandomHyperplaneLSH.fromPlanes(cm.esklsh.lsh.planes.map(_.map(_.clone)))
+      new CoreModel(cm.vectors, cm.globalIds, new repro.esklsh.ESKLSH(lsh, cm.esklsh.arrays, cm.esklsh.b),
+        cm.rescalers, cm.rmis, cm.r0, cm.rescaleKeys)
     }
     val loaded = new Lider(lider.centroidsRetriever, copies, params)
     for (i <- 0 until 10; q = corpus.vectors(i * 41))
@@ -218,5 +291,17 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
   test("recommendedC0 is c/50 floored at 3") {
     assert(Lider.recommendedC0(20) == 3)
     assert(Lider.recommendedC0(1000) == 20)
+  }
+}
+
+object LiderSpec {
+
+  /** `n` vectors cycling through the first `distinct` of
+    * `RetrievalData.corpus(n, dim, seed)`: with fewer distinct vectors than
+    * clusters, k-means leaves clusters empty.
+    */
+  def repeating(n: Int, dim: Int, distinct: Int, seed: Long): Array[Array[Float]] = {
+    val base = RetrievalData.corpus(n, dim, seed).vectors
+    Array.tabulate(n)(i => base(i % distinct))
   }
 }

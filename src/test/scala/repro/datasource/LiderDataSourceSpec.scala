@@ -29,12 +29,7 @@ class LiderDataSourceSpec extends SparkSpec {
 
     val queries = (0 until 25).map(i => (i.toLong, corpus.vectors(i * 31)))
     queries.toDF("id", "emb").write.mode("overwrite").parquet(s"$tmp/queries.parquet")
-    val lider = new Lider(
-      IndexStore.loadCentroidModel(indexDir),
-      Array.tabulate(10)(cid =>
-        if (IndexStore.clusterExists(indexDir, cid)) IndexStore.loadClusterModel(indexDir, cid) else null),
-      params)
-    (lider, indexDir, s"$tmp/queries.parquet")
+    (IndexStore.load(indexDir), indexDir, s"$tmp/queries.parquet")
   }
 
   test("buildIndex persists meta, centroid model and cluster files") {
@@ -42,7 +37,7 @@ class LiderDataSourceSpec extends SparkSpec {
     val meta = IndexStore.readMeta(indexDir)
     assert(meta("dim") == "16" && meta("c") == "10" && meta("c0") == "3")
     assert(new java.io.File(indexDir, "centroid_model.bin").isFile)
-    assert((0 until 10).exists(IndexStore.clusterExists(indexDir, _)))
+    assert((0 until 10).forall(IndexStore.clusterExists(indexDir, _)))
   }
 
   test("DSv2 scan exposes the documented schema") {
@@ -78,6 +73,32 @@ class LiderDataSourceSpec extends SparkSpec {
         val expected = lider.search(corpus.vectors(qi.toInt * 31), 5).map(s => hit(s.id, s.score)).toSeq
         assert(got(qi) == expected, s"query $qi of $kept")
       }
+    }
+  }
+
+  test("DSv2 topK over an index whose empty k-means clusters build dropped equals Lider.search") {
+    // Six distinct vectors, each 100 times, and c = 12: k-means leaves
+    // clusters empty, and c0 = 8 exceeds the c′ clusters that remain.
+    import spark.implicits._
+    val vectors = repro.core.LiderSpec.repeating(600, 16, distinct = 6, seed = 91)
+    val embPath = s"$tmp/dup-emb.parquet"
+    vectors.indices.map(i => (i.toLong, vectors(i))).toDF("id", "emb").write.mode("overwrite").parquet(embPath)
+    val indexDir = s"$tmp/dup-index"
+    LiderSearch.buildIndex(spark, embPath, indexDir, params.copy(c = 12, c0 = 8, kmeansSample = 600))
+    val lider = IndexStore.load(indexDir)
+    assert(lider.numClusters < 8, s"c′ = ${lider.numClusters}")
+    val rnd = new scala.util.Random(5)
+    val queries = (0 until 12).map(i =>
+      i.toLong -> repro.linalg.VecOps.normalized(vectors(i).map(x => x + rnd.nextGaussian().toFloat * 0.1f)))
+    val queriesPath = s"$tmp/dup-queries.parquet"
+    queries.toDF("id", "emb").write.mode("overwrite").parquet(queriesPath)
+    def hit(id: Long, score: Double) = (id, java.lang.Double.doubleToRawLongBits(score))
+    for (k <- Seq(5, 150)) {
+      val got = LiderSearch.topK(spark, indexDir, queriesPath, k).collect()
+        .groupBy(_.getLong(0))
+        .view.mapValues(_.sortBy(_.getInt(3)).map(r => hit(r.getLong(1), r.getDouble(2))).toSeq).toMap
+      for ((qid, q) <- queries)
+        assert(got(qid) == lider.search(q, k).map(s => hit(s.id, s.score)).toSeq, s"query $qid, k = $k")
     }
   }
 

@@ -11,7 +11,7 @@ class AnnIndexInputSpec extends AnyFunSuite {
   private lazy val searches: Seq[(String, (Array[Float], Int) => Array[repro.core.Scored])] = {
     val indexes = Scaled.Methods.map(m => Scaled.buildIndex(m, corpus, "MS-100k"))
     val lider = indexes.collectFirst { case l: LiderIndex => l.lider }.get
-    val cluster = lider.inClusterRetrievers.filter(_ != null).maxBy(_.size)
+    val cluster = lider.inClusterRetrievers.maxBy(_.size)
     indexes.map(ix => ix.name -> ((v: Array[Float], k: Int) => ix.search(v, k))) ++ Seq(
       "Lider.search" -> ((v: Array[Float], k: Int) => lider.search(v, k)),
       "CoreModel.search" -> ((v: Array[Float], k: Int) => cluster.search(v, k)))
