@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Scored, TopK}
+import repro.core.{AnnIndex, Scored, TopK}
 import repro.linalg.VecOps
 
 /** Exact brute-force search (FAISS IndexFlat in the paper) — the quality

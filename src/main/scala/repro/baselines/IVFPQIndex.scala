@@ -1,8 +1,8 @@
 package repro.baselines
 
-import repro.core.{Scored, TopK}
+import repro.core.{AnnIndex, Scored, TopK}
 import repro.kmeans.{KMeans, KMeansModel}
-import repro.linalg.{Parallel, VecOps}
+import repro.linalg.{IdOps, Parallel, VecOps}
 
 /** IVFADC baseline (paper §7.1.2 baselines 5–6, Jégou et al. [11]):
   * a coarse k-means quantizer with `C = ceil(sqrt N)` centroids partitions
@@ -77,9 +77,7 @@ object IVFPQIndex {
     val pq = ProductQuantizer.fit(residualSample, m, bits, seed = seed + 1)
 
     val k = coarse.k
-    val memberIdx = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
-    var i = 0
-    while (i < vectors.length) { memberIdx(assign(i)) += i; i += 1 }
+    val memberIdx = IdOps.group(assign, k)
 
     val listIds = new Array[Array[Long]](k)
     val listCodes = new Array[Array[Byte]](k)

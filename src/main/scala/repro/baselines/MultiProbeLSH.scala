@@ -1,7 +1,7 @@
 package repro.baselines
 
-import repro.core.{Scored, TopK}
-import repro.linalg.VecOps
+import repro.core.{AnnIndex, Scored, TopK}
+import repro.linalg.{IdOps, VecOps}
 import repro.lsh.RandomHyperplaneLSH
 
 /** Multi-probe LSH baseline standing in for FALCONN (paper §7.1.2
@@ -12,7 +12,9 @@ import repro.lsh.RandomHyperplaneLSH
   * `probesPerTable − 1` most promising perturbed buckets, generated
   * best-first over perturbation sets ranked by the summed squared margins
   * of the flipped bits (the classic multi-probe ordering: bits whose
-  * projections sit closest to the hyperplane are flipped first).
+  * projections sit closest to the hyperplane are flipped first). The
+  * probed buckets' rows, in table then probe order, are deduped first-seen
+  * ([[IdOps.distinct]]) and verified by exact score.
   */
 final class MultiProbeLSH(
     vectors: Array[Array[Float]],
@@ -26,8 +28,7 @@ final class MultiProbeLSH(
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
     VecOps.requireQuery(q, lsh.dim)
-    val seen = new java.util.HashSet[Int]()
-    val cands = new scala.collection.mutable.ArrayBuffer[Int]()
+    val probed = new scala.collection.mutable.ArrayBuilder.ofRef[Array[Int]]
     var t = 0
     while (t < tables.length) {
       val margins = lsh.margins(q, t)
@@ -36,18 +37,12 @@ final class MultiProbeLSH(
       var p = 0
       while (p < probeKeys.length) {
         val bucket = tables(t).get(probeKeys(p))
-        if (bucket != null) {
-          var i = 0
-          while (i < bucket.length) {
-            if (seen.add(bucket(i))) cands += bucket(i)
-            i += 1
-          }
-        }
+        if (bucket != null) probed += bucket
         p += 1
       }
       t += 1
     }
-    TopK.verify(q, vectors, ids, cands.toArray, k)
+    TopK.verify(q, vectors, ids, IdOps.distinct(probed.result(), vectors.length), k)
   }
 }
 

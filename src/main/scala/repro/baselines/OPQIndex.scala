@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.Scored
+import repro.core.{AnnIndex, Scored}
 import repro.kmeans.KMeans
 import repro.linalg.{Eigen, Mat, Parallel}
 

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.kmeans.KMeans
+import repro.kmeans.{KMeans, KMeansModel}
 import repro.linalg.VecOps
 
 /** Product quantization substrate (Jégou et al., paper ref. [11]) shared
@@ -11,34 +11,28 @@ import repro.linalg.VecOps
   * vector is encoded as `m` codebook indices; asymmetric distance
   * computation (ADC) scores encoded vectors against a query through
   * per-segment lookup tables.
+  *
+  * Each codebook is a [[KMeansModel]], so encoding and the squared-L2
+  * tables run on its lane kernel and the inner-product tables on
+  * [[VecOps.dots]]; both give a per-codeword `sqDist`/`dot` loop's bits.
   */
-final class ProductQuantizer(val codebooks: Array[Array[Array[Float]]]) extends Serializable {
+final class ProductQuantizer(val codebooks: Array[KMeansModel]) extends Serializable {
   val m: Int = codebooks.length
-  val ksub: Int = codebooks(0).length
-  val segDim: Int = codebooks(0)(0).length
+  val ksub: Int = codebooks(0).k
+  val segDim: Int = codebooks(0).dim
   val dim: Int = m * segDim
 
-  private def segment(v: Array[Float], s: Int): Array[Float] = {
-    val out = new Array[Float](segDim)
-    System.arraycopy(v, s * segDim, out, 0, segDim)
-    out
-  }
-
-  /** Nearest codebook entry per segment (squared L2, as in [11]). */
+  /** Nearest codebook entry per segment (squared L2, as in [11]); the first
+    * on equal distances.
+    */
   def encode(v: Array[Float]): Array[Byte] = {
     require(v.length == dim, s"dim mismatch ${v.length} vs $dim")
     val codes = new Array[Byte](m)
+    val seg = new Array[Float](segDim)
+    val acc = new Array[Double](ksub)
     var s = 0
     while (s < m) {
-      val seg = segment(v, s)
-      var best = 0; var bestD = Double.MaxValue
-      var c = 0
-      while (c < ksub) {
-        val d = VecOps.sqDist(seg, codebooks(s)(c))
-        if (d < bestD) { bestD = d; best = c }
-        c += 1
-      }
-      codes(s) = best.toByte
+      codes(s) = codebooks(s).nearest(ProductQuantizer.segment(v, s, seg), acc).toByte
       s += 1
     }
     codes
@@ -49,7 +43,7 @@ final class ProductQuantizer(val codebooks: Array[Array[Array[Float]]]) extends 
     val out = new Array[Float](dim)
     var s = 0
     while (s < m) {
-      val cb = codebooks(s)(codes(s) & 0xff)
+      val cb = codebooks(s).centroids(codes(s) & 0xff)
       System.arraycopy(cb, 0, out, s * segDim, segDim)
       s += 1
     }
@@ -57,26 +51,23 @@ final class ProductQuantizer(val codebooks: Array[Array[Array[Float]]]) extends 
   }
 
   /** Inner-product ADC tables: lut(s)(c) = q_s · codebook(s)(c). */
-  def lutIP(q: Array[Float]): Array[Array[Float]] = {
-    val lut = Array.ofDim[Float](m, ksub)
-    var s = 0
-    while (s < m) {
-      val seg = segment(q, s)
-      var c = 0
-      while (c < ksub) { lut(s)(c) = VecOps.dot(seg, codebooks(s)(c)).toFloat; c += 1 }
-      s += 1
-    }
-    lut
-  }
+  def lutIP(q: Array[Float]): Array[Array[Float]] =
+    tables(q)((s, seg, out) => VecOps.dots(seg, codebooks(s).centroids, ksub, out))
 
   /** Squared-L2 ADC tables: lut(s)(c) = ||q_s − codebook(s)(c)||². */
-  def lutL2(q: Array[Float]): Array[Array[Float]] = {
+  def lutL2(q: Array[Float]): Array[Array[Float]] =
+    tables(q)((s, seg, out) => codebooks(s).sqDists(seg, out))
+
+  /** lut(s)(c) = the float of what `fill(s, q_s, out)` leaves in `out(c)`. */
+  private def tables(q: Array[Float])(fill: (Int, Array[Float], Array[Double]) => Unit): Array[Array[Float]] = {
     val lut = Array.ofDim[Float](m, ksub)
+    val seg = new Array[Float](segDim)
+    val out = new Array[Double](ksub)
     var s = 0
     while (s < m) {
-      val seg = segment(q, s)
+      fill(s, ProductQuantizer.segment(q, s, seg), out)
       var c = 0
-      while (c < ksub) { lut(s)(c) = VecOps.sqDist(seg, codebooks(s)(c)).toFloat; c += 1 }
+      while (c < ksub) { lut(s)(c) = out(c).toFloat; c += 1 }
       s += 1
     }
     lut
@@ -115,13 +106,14 @@ object ProductQuantizer {
     val segDim = dim / m
     val ksub = math.min(1 << bits, sample.length)
     val codebooks = repro.linalg.Parallel.tabulate(m) { s =>
-      val segs = sample.map { v =>
-        val out = new Array[Float](segDim)
-        System.arraycopy(v, s * segDim, out, 0, segDim)
-        out
-      }
-      KMeans.fit(segs, ksub, iters, seed + s).centroids
+      KMeans.fit(sample.map(v => segment(v, s, new Array[Float](segDim))), ksub, iters, seed + s)
     }
     new ProductQuantizer(codebooks)
+  }
+
+  /** Copies segment `s` of `v`, `seg.length` wide, into `seg`; returns `seg`. */
+  private def segment(v: Array[Float], s: Int, seg: Array[Float]): Array[Float] = {
+    System.arraycopy(v, s * seg.length, seg, 0, seg.length)
+    seg
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Scored, TopK}
+import repro.core.{AnnIndex, Scored, TopK}
 import repro.esklsh.ESKLSH
 import repro.linalg.VecOps
 

@@ -1,6 +1,4 @@
-package repro.baselines
-
-import repro.core.Scored
+package repro.core
 
 /** Common interface of every ANN method in the Table 2 comparison —
   * LIDER and the eight baselines of paper §7.1.2. All scores are inner

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.kmeans.KMeans
-import repro.linalg.{Parallel, VecOps}
+import repro.linalg.{IdOps, Parallel, VecOps}
 import repro.lsh.RandomHyperplaneLSH
 
 /** Parameters of the full two-layer LIDER (paper §3.2 / §7.2.1 defaults,
@@ -52,7 +52,9 @@ final class Lider(
     val centroidsRetriever: CoreModel,
     val inClusterRetrievers: Array[CoreModel],
     val params: LiderParams)
-    extends Serializable {
+    extends AnnIndex with Serializable {
+
+  override def name: String = "LIDER"
 
   require(inClusterRetrievers.nonEmpty, "LIDER needs at least one cluster")
   for (cid <- inClusterRetrievers.indices) {
@@ -108,7 +110,7 @@ final class Lider(
     * has a non-finite component (checked by the centroids retriever),
     * fails with an `IllegalArgumentException`.
     */
-  def search(q: Array[Float], k: Int): Array[Scored] = {
+  override def search(q: Array[Float], k: Int): Array[Scored] = {
     require(k > 0, s"k must be positive, got $k")
     val targets = targetClusters(q, params.c0)
     val keys = queryLsh.hashAll(q)
@@ -168,10 +170,7 @@ object Lider {
     val t0 = System.nanoTime()
     val sample = KMeans.sample(vectors, params.kmeansSample, params.seed)
     val km = KMeans.fit(sample, params.c, params.kmeansIters, params.seed)
-    val assign = KMeans.assign(km, vectors)
-    val members = Array.fill(km.k)(new scala.collection.mutable.ArrayBuffer[Int])
-    var i = 0
-    while (i < assign.length) { members(assign(i)) += i; i += 1 }
+    val members = IdOps.group(KMeans.assign(km, vectors), km.k)
     val (centroids, clusters) = km.centroids.zip(members).filter(_._2.nonEmpty).unzip
     val t1 = System.nanoTime()
 
@@ -183,7 +182,7 @@ object Lider {
     // each cluster's key length) — hyperplanes are data-independent, so
     // sharing changes nothing statistically but keeps the Table 5 memory
     // accounting honest across ~1000 clusters.
-    val maxClusterN = clusters.iterator.map(_.size).max
+    val maxClusterN = clusters.iterator.map(_.length).max
     val sharedLsh = repro.lsh.RandomHyperplaneLSH(
       vectors(0).length,
       params.clusterCore.numArrays,
@@ -191,7 +190,7 @@ object Lider {
       params.clusterCore.seed)
     val inCluster = Parallel.tabulate(clusters.length) { cid =>
       val idx = clusters(cid)
-      CoreModel.build(idx.map(vectors).toArray, idx.map(globalIds).toArray, params.clusterCore, Some(sharedLsh))
+      CoreModel.build(idx.map(vectors), idx.map(globalIds), params.clusterCore, Some(sharedLsh))
     }
     val t3 = System.nanoTime()
 

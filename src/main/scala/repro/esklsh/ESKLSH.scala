@@ -1,6 +1,6 @@
 package repro.esklsh
 
-import repro.linalg.Parallel
+import repro.linalg.{IdOps, Parallel}
 import repro.lsh.{Hashkey, RandomHyperplaneLSH}
 
 /** Extended SK-LSH (paper §4): hyperplane LSH for cosine similarity,
@@ -75,7 +75,7 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
         Parallel.tabulate(arrays.length)(h => expandOne(h, queryKeys(h), starts(h), range))
       else
         Array.tabulate(arrays.length)(h => expandOne(h, queryKeys(h), starts(h), range))
-    distinct(perArray)
+    IdOps.distinct(perArray, size)
   }
 
   /** Original SK-LSH expansion (the baseline this paper improves on):
@@ -119,32 +119,7 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
       else { out(n) = arrays(bestH).idOf(ers(bestH)); rs(bestH) += 1; ers(bestH) = entryAt(bestH, rs(bestH)) }
       n += 1
     }
-    distinct(Array(out))
-  }
-
-  /** The ids of all arrays in first-seen order, each once. Ids are local
-    * positions `0 until size`, so one bit per vector marks them seen.
-    */
-  private def distinct(perArray: Array[Array[Int]]): Array[Int] = {
-    var raw = 0
-    var h = 0
-    while (h < perArray.length) { raw = math.min(size, raw + perArray(h).length); h += 1 }
-    val seen = new Array[Long]((size + 63) >>> 6)
-    val out = new Array[Int](raw)
-    var n = 0
-    h = 0
-    while (h < perArray.length) {
-      val a = perArray(h)
-      var i = 0
-      while (i < a.length) {
-        val id = a(i)
-        val bit = 1L << id // the shift takes id mod 64
-        if ((seen(id >>> 6) & bit) == 0) { seen(id >>> 6) |= bit; out(n) = id; n += 1 }
-        i += 1
-      }
-      h += 1
-    }
-    java.util.Arrays.copyOf(out, n)
+    IdOps.distinct(Array(out), size)
   }
 }
 

@@ -3,21 +3,6 @@ package repro.experiments
 import repro.core.{CoreModel, CoreModelParams}
 import repro.retrieval._
 
-/** Table 3 (paper §7.3): impact of the ESK-LSH array count H on a
-  * *standalone* core model (no clustering layer): MRR@10 and the average
-  * ESK-LSH expansion time per query. The paper sweeps H = 32, 48, 64 on
-  * MS-1M with k = 100 — more arrays raise quality with only a tiny
-  * expansion-time overhead (the §4.3 parallelism claim).
-  *
-  * Dataset substitution (see DESIGN.md): the paper's MS-1M core model
-  * expands R ≈ r0·100 positions over million-entry string-hashkey arrays,
-  * so one array's expansion costs ~ms and parallelism across arrays pays.
-  * Our packed-Long arrays make one array's walk a few µs at any of our
-  * sizes, so the sweep runs on our largest corpus (Wiki-21M-sized, 210k),
-  * the closest regime to the paper's, with the paper's k_m = 100, and
-  * reports MRR@10 from the top-10 prefix. It times `ESKLSH.expandAll`
-  * between the public calls that `CoreModel.search` makes (R < n).
-  */
 /** `avgExpansionMillis` is the *median* per-query expansion wall time —
   * the per-query cost is about 0.1–0.2 ms, so mean times are hostage to a
   * single stray GC pause or scheduler hiccup.
@@ -35,6 +20,21 @@ final case class Table3Result(rows: Seq[Table3Row]) {
   }
 }
 
+/** Table 3 (paper §7.3): impact of the ESK-LSH array count H on a
+  * *standalone* core model (no clustering layer): MRR@10 and the average
+  * ESK-LSH expansion time per query. The paper sweeps H = 32, 48, 64 on
+  * MS-1M with k = 100 — more arrays raise quality with only a tiny
+  * expansion-time overhead (the §4.3 parallelism claim).
+  *
+  * Dataset substitution (see DESIGN.md): the paper's MS-1M core model
+  * expands R ≈ r0·100 positions over million-entry string-hashkey arrays,
+  * so one array's expansion costs ~ms and parallelism across arrays pays.
+  * Our packed-Long arrays make one array's walk a few µs at any of our
+  * sizes, so the sweep runs on our largest corpus (Wiki-21M-sized, 210k),
+  * the closest regime to the paper's, with the paper's k_m = 100, and
+  * reports MRR@10 from the top-10 prefix. It times `ESKLSH.expandAll`
+  * between the public calls that `CoreModel.search` makes (R < n).
+  */
 object Table3Experiment {
 
   def run(

@@ -49,22 +49,30 @@ object Table4Experiment {
       val cm = CoreModel.build(corpus.vectors, corpus.ids,
         CoreModelParams(numArrays = 1, keyLen = Some(keyLen), rmiWidth = 10,
           rescaleKeys = rescaled, sgdRmi = true))
-      val arr = cm.esklsh.arrays(0)
-      var oor = 0; var le = 0; var overlap = 0
-      dev.queries.foreach { q =>
-        val qKey = cm.esklsh.hashQuery(q)(0)
-        val pred = cm.predictStart(0, qKey)
-        val truth = arr.insertionPoint(qKey)
-        val isOor = pred == 0 || pred == corpus.n - 1
-        val isLe = math.abs(pred - truth) > k
-        if (isOor) oor += 1
-        if (isLe) le += 1
-        if (isOor && isLe) overlap += 1
-      }
-      val row = Table4Row(rescaled, oor, le, overlap)
+      val (oor, le, overlap) = counts(cm, dev.queries, k)
       log(s"[table4] rescaled=$rescaled oor=$oor le=$le overlap=$overlap")
-      row
+      Table4Row(rescaled, oor, le, overlap)
     }
     Table4Result(rows, dev.queries.length)
+  }
+
+  /** (N_OOR, N_LE, N_overlap) of `cm`'s first array over `queries`: one
+    * truncated RMI prediction per query, against the query key's true
+    * insertion point, with LE's threshold `k`.
+    */
+  def counts(cm: CoreModel, queries: Array[Array[Float]], k: Int): (Int, Int, Int) = {
+    val arr = cm.esklsh.arrays(0)
+    var oor = 0; var le = 0; var overlap = 0
+    queries.foreach { q =>
+      val qKey = cm.esklsh.hashQuery(q)(0)
+      val pred = cm.predictStart(0, qKey)
+      val truth = arr.insertionPoint(qKey)
+      val isOor = pred == 0 || pred == arr.length - 1
+      val isLe = math.abs(pred - truth) > k
+      if (isOor) oor += 1
+      if (isLe) le += 1
+      if (isOor && isLe) overlap += 1
+    }
+    (oor, le, overlap)
   }
 }

@@ -7,7 +7,8 @@ import scala.util.Random
   *
   * This is the clustering substrate used by
   *  - LIDER Stage 1 (partition the corpus into `c` clusters, paper §3.2),
-  *  - the PQ family (per-segment codebooks),
+  *  - the PQ family (per-segment codebooks: encoding, and the squared-L2
+  *    query tables, run on the same kernel),
   *  - IVFPQ's coarse quantizer.
   *
   * Training runs on a bounded sample (like FAISS' default practice, which
@@ -27,23 +28,31 @@ final case class KMeansModel(centroids: Array[Array[Float]]) {
   def k: Int = centroids.length
   def dim: Int = centroids(0).length
 
-  /** Built on the first `nearest`/`nearestN` call, for a query path such as
-    * IVFPQ's. [[KMeans.assign]] builds its own, so a model that is only
-    * built and assigned (LIDER's) never holds one.
+  /** Built on the first query call, for a query path such as IVFPQ's or
+    * PQ's. [[KMeans.assign]] builds its own, so a model that is only built
+    * and assigned (LIDER's) never holds one.
     */
   @transient private lazy val table = new LaneTable(centroids)
+
+  /** `out(c)` := squared Euclidean distance from `v` to centroid `c`, for
+    * every `c < k`, with [[VecOps.sqDist]]'s bits.
+    */
+  def sqDists(v: Array[Float], out: Array[Double]): Unit = table.sqDists(v, out, 0, k)
 
   /** Index of the nearest centroid by squared Euclidean distance; the first
     * one on equal distances.
     */
-  def nearest(v: Array[Float]): Int = table.nearest(v, new Array[Double](k))
+  def nearest(v: Array[Float]): Int = nearest(v, new Array[Double](k))
+
+  /** [[nearest]] with `acc`, `k` doubles, as scratch. */
+  def nearest(v: Array[Float], acc: Array[Double]): Int = table.nearest(v, acc)
 
   /** Indices of the `n` nearest centroids, closest first; lower index first
     * on equal distances.
     */
   def nearestN(v: Array[Float], n: Int): Array[Int] = {
     val d = new Array[Double](k)
-    table.sqDists(v, d, 0, k)
+    sqDists(v, d)
     Array.range(0, k).sortBy(d(_))(Ordering.Double.TotalOrdering).take(n)
   }
 }

@@ -143,12 +143,4 @@ object Eigen {
     }
     throw new IllegalStateException("could not complete orthogonal basis")
   }
-
-  /** Orthogonal Procrustes: the rotation R = U Vᵀ maximizing tr(Rᵀ M)
-    * where (U, _, V) = svd(M). Used by OPQ's alternating optimization.
-    */
-  def procrustes(m: Mat): Mat = {
-    val (u, _, v) = svdSquare(m)
-    u * v.t
-  }
 }

@@ -124,18 +124,4 @@ object VecOps {
     while (i < acc.length) { out(i) = (acc(i) / n).toFloat; i += 1 }
     out
   }
-
-  /** Index of the maximum value; first occurrence wins. */
-  def argmax(xs: Array[Double]): Int = {
-    var best = 0; var i = 1
-    while (i < xs.length) { if (xs(i) > xs(best)) best = i; i += 1 }
-    best
-  }
-
-  /** Index of the minimum value; first occurrence wins. */
-  def argmin(xs: Array[Double]): Int = {
-    var best = 0; var i = 1
-    while (i < xs.length) { if (xs(i) < xs(best)) best = i; i += 1 }
-    best
-  }
 }

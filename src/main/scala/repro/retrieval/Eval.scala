@@ -1,15 +1,6 @@
 package repro.retrieval
 
-import repro.baselines.AnnIndex
-import repro.core.{Lider, Scored}
-
-/** LIDER exposed through the shared [[AnnIndex]] interface so the Table 2
-  * harness treats it exactly like the baselines.
-  */
-final class LiderIndex(val lider: Lider) extends AnnIndex {
-  override def name: String = "LIDER"
-  override def search(q: Array[Float], k: Int): Array[Scored] = lider.search(q, k)
-}
+import repro.core.AnnIndex
 
 /** One evaluated cell: a quality score and the average query time. */
 final case class EvalRun(results: Array[Array[Long]], aqtMillis: Double)

@@ -1,7 +1,7 @@
 package repro.retrieval
 
 import repro.baselines._
-import repro.core.{CoreModelParams, Lider, LiderParams}
+import repro.core.{AnnIndex, CoreModelParams, Lider, LiderParams}
 import repro.esklsh.ESKLSH
 
 /** One evaluation dataset of the paper, at our ×1/100 scale (DESIGN.md §2).
@@ -92,8 +92,7 @@ object Scaled {
         MultiProbeLSH.build(c.vectors, c.ids, lshTables(label), ESKLSH.keyLenFor(n), FalconnProbes)
       case "SK-LSH" =>
         SKLSH.build(c.vectors, c.ids, lshTables(label), ESKLSH.keyLenFor(n))
-      case "LIDER" =>
-        new LiderIndex(Lider.build(c.vectors, c.ids, liderParams(n))._1)
+      case "LIDER" => Lider.build(c.vectors, c.ids, liderParams(n))._1
       case other => sys.error(s"unknown method $other")
     }
   }

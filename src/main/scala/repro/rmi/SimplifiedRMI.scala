@@ -1,5 +1,7 @@
 package repro.rmi
 
+import repro.linalg.IdOps
+
 /** Simplified recursive-model index (paper §5.2).
   *
   * Two layers, both plain linear regressions: one root model and `width`
@@ -14,18 +16,10 @@ package repro.rmi
   * array, re-scaled monotonically); positions are implicitly `0 … n−1`.
   */
 final case class SimplifiedRMI(root: LinearModel, leaves: Array[LinearModel], n: Long) {
-  private def width: Int = leaves.length
-
-  private def leafFor(key: Double): Int = {
-    val p = root.predict(key)
-    val j = math.floor(p * width / n.toDouble).toInt
-    math.min(width - 1, math.max(0, j))
-  }
-
   /** Raw (unclamped) predicted position — used by the Table 4 ablation to
     * count out-of-range predictions before truncation.
     */
-  def predictRaw(key: Double): Double = leaves(leafFor(key)).predict(key)
+  def predictRaw(key: Double): Double = leaves(SimplifiedRMI.leafOf(root, leaves.length, n, key)).predict(key)
 
   /** Predicted position truncated to `[0, n−1]` (paper §7.4: "RMI will
     * truncate big prediction to L_array−1 and round negative prediction
@@ -56,19 +50,21 @@ object SimplifiedRMI {
     val root = train(keys, positions)
     val w = math.max(1, width)
 
-    val buckets = Array.fill(w)(new scala.collection.mutable.ArrayBuffer[Int])
-    var i = 0
-    while (i < n) {
-      val p = root.predict(keys(i))
-      val j = math.min(w - 1, math.max(0, math.floor(p * w / n.toDouble).toInt))
-      buckets(j) += i
-      i += 1
-    }
+    val buckets = IdOps.group(Array.tabulate(n)(i => leafOf(root, w, n, keys(i))), w)
     val leaves = Array.tabulate(w) { j =>
       val idx = buckets(j)
       if (idx.isEmpty) root // unreached leaf: inherit the root model
-      else train(idx.map(keys).toArray, idx.map(positions).toArray)
+      else train(idx.map(keys), idx.map(positions))
     }
     SimplifiedRMI(root, leaves, n.toLong)
+  }
+
+  /** The leaf of `width` that routes `key`: the root's predicted position,
+    * scaled from `[0, n)` to `[0, width)` and clamped. Training and
+    * prediction both route through it.
+    */
+  private def leafOf(root: LinearModel, width: Int, n: Long, key: Double): Int = {
+    val j = math.floor(root.predict(key) * width / n.toDouble).toInt
+    math.min(width - 1, math.max(0, j))
   }
 }

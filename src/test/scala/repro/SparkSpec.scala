@@ -4,13 +4,16 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every Spark-backed spec: one local-mode SparkSession for the
+  * whole run, shared by the specs that write Parquet, read the DSv2
+  * "lider" source and hand DataFrames to the DuckDB oracle.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM. `local[*]` runs a scan's input partitions on every
+  * core, as a `format("lider")` query fans out in a real deployment.
+  * The relational checks run in DuckDB, not in Spark joins, and broadcast
+  * joins stay off, so a join that a spec does plan runs as a shuffle join
+  * however small the test tables are, as it would on a corpus-sized one.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

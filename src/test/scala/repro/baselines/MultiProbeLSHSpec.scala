@@ -1,6 +1,8 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Scored, TopK}
+import repro.lsh.RandomHyperplaneLSH
 import repro.retrieval.{Metrics, RetrievalData}
 
 class MultiProbeLSHSpec extends AnyFunSuite {
@@ -69,6 +71,36 @@ class MultiProbeLSHSpec extends AnyFunSuite {
       Metrics.recallAt(ix.search(q, 10).map(_.id), flat.search(q, 10).map(_.id), 10)
     }.sum / 25
     assert(meanRecall(wide) >= meanRecall(narrow) - 1e-9)
+  }
+
+  /** `search` with the `HashSet` dedupe it replaced, kept as the
+    * reference. Its tables are `build`'s, rebuilt from the same planes.
+    */
+  private def referenceSearch(numTables: Int, keyLen: Int, probes: Int): (Array[Float], Int) => Array[Scored] = {
+    val lsh = RandomHyperplaneLSH(corpus.vectors(0).length, numTables, keyLen, 43L)
+    val tables = Array.tabulate(numTables)(t => corpus.vectors.indices.groupBy(i => lsh.hash(corpus.vectors(i), t)))
+    (q, k) => {
+      val seen = new java.util.HashSet[Int]()
+      val cands = scala.collection.mutable.ArrayBuffer[Int]()
+      for (t <- 0 until numTables) {
+        val margins = lsh.margins(q, t)
+        for (key <- MultiProbeLSH.probeSequence(lsh.key(margins), margins, keyLen, probes);
+             bucket <- tables(t).get(key); i <- bucket)
+          if (seen.add(i)) cands += i
+      }
+      TopK.verify(q, corpus.vectors, corpus.ids, cands.toArray, k)
+    }
+  }
+
+  test("search equals the HashSet-dedupe reference, ids and score bits") {
+    def bits(hits: Array[Scored]) = hits.toSeq.map(h => (h.id, java.lang.Double.doubleToRawLongBits(h.score)))
+    for (probes <- Seq(1, 4, 16, 64)) {
+      val ix = MultiProbeLSH.build(corpus.vectors, corpus.ids, 12, 10, probes)
+      val reference = referenceSearch(12, 10, probes)
+      for ((q, i) <- RetrievalData.pointTask(corpus, 30, seed = 9).queries.zipWithIndex; k <- Seq(10, 100)) {
+        assert(bits(ix.search(q, k)) == bits(reference(q, k)), s"probes = $probes, query $i, k = $k")
+      }
+    }
   }
 
   test("name matches the paper's label") {

@@ -1,10 +1,14 @@
 package repro.baselines
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropertySupport
+import repro.kmeans.KMeansModel
 import repro.linalg.VecOps
 import repro.retrieval.{Metrics, RetrievalData}
+import scala.util.Random
 
-class PQSpec extends AnyFunSuite {
+class PQSpec extends AnyFunSuite with PropertySupport {
 
   private lazy val corpus = RetrievalData.corpus(1000, 32, seed = 21)
   private lazy val flat = new Flat(corpus.vectors, corpus.ids)
@@ -49,6 +53,59 @@ class PQSpec extends AnyFunSuite {
       val codes = pq.encode(corpus.vectors(i))
       assert(math.abs(pq.adc(lut, codes, 0) - VecOps.sqDist(q, pq.decode(codes))) < 1e-3)
     }
+  }
+
+  /** The per-codeword loops that `encode`, `lutIP` and `lutL2` replaced,
+    * kept as the reference.
+    */
+  private object Reference {
+    def segment(v: Array[Float], s: Int, segDim: Int): Array[Float] = v.slice(s * segDim, (s + 1) * segDim)
+
+    def encode(cbs: Array[Array[Array[Float]]], v: Array[Float]): Array[Byte] = {
+      val segDim = cbs(0)(0).length
+      Array.tabulate(cbs.length) { s =>
+        val seg = segment(v, s, segDim)
+        var best = 0; var bestD = Double.MaxValue
+        for (c <- cbs(s).indices) {
+          val d = VecOps.sqDist(seg, cbs(s)(c))
+          if (d < bestD) { bestD = d; best = c }
+        }
+        best.toByte
+      }
+    }
+
+    def lut(cbs: Array[Array[Array[Float]]], q: Array[Float], f: (Array[Float], Array[Float]) => Double): Array[Array[Float]] = {
+      val segDim = cbs(0)(0).length
+      Array.tabulate(cbs.length)(s => cbs(s).map(cw => f(segment(q, s, segDim), cw).toFloat))
+    }
+  }
+
+  test("encode and the ADC tables equal the per-codeword loops, bit for bit") {
+    // Codewords and queries on a coarse integer grid, with repeated
+    // codewords, so many distances tie and the first index must win.
+    val gen = for {
+      m <- Gen.choose(1, 4)
+      segDim <- Gen.oneOf(1, 2, 3, 5, 8)
+      ksub <- Gen.oneOf(Gen.choose(1, 9), Gen.choose(10, 255), Gen.const(256))
+      grid <- Gen.oneOf(true, false)
+      seed <- Gen.choose(0L, 1000L)
+    } yield (m, segDim, ksub, grid, seed)
+    checkProp(Prop.forAllNoShrink(gen) { case (m, segDim, ksub, grid, seed) =>
+      val rnd = new Random(seed)
+      def point(len: Int) = Array.fill(len)(if (grid) (rnd.nextInt(5) - 2).toFloat else rnd.nextGaussian().toFloat)
+      val cbs = Array.fill(m) {
+        val cb = new Array[Array[Float]](ksub)
+        for (c <- 0 until ksub) cb(c) = if (c > 0 && rnd.nextInt(4) == 0) cb(rnd.nextInt(c)).clone() else point(segDim)
+        cb
+      }
+      val pq = new ProductQuantizer(cbs.map(KMeansModel(_)))
+      def bits(lut: Array[Array[Float]]) = lut.toSeq.map(_.toSeq.map(java.lang.Float.floatToRawIntBits))
+      Seq.fill(12)(point(m * segDim)).forall { v =>
+        pq.encode(v).toSeq == Reference.encode(cbs, v).toSeq &&
+          bits(pq.lutIP(v)) == bits(Reference.lut(cbs, v, VecOps.dot)) &&
+          bits(pq.lutL2(v)) == bits(Reference.lut(cbs, v, VecOps.sqDist))
+      }
+    }, minSuccessful = 200)
   }
 
   test("dim not divisible by m is rejected") {

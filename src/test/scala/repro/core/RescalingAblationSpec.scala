@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.experiments.Table4Experiment
 import repro.retrieval.RetrievalData
 
 /** Unit-level version of the Table 4 experiment (paper §7.4): without key
@@ -19,19 +20,7 @@ class RescalingAblationSpec extends AnyFunSuite {
     val cm = CoreModel.build(corpus.vectors, corpus.ids,
       CoreModelParams(numArrays = 1, keyLen = Some(24), rmiWidth = 5,
         rescaleKeys = rescale, sgdRmi = true))
-    val arr = cm.esklsh.arrays(0)
-    var oor = 0; var le = 0; var overlap = 0
-    task.queries.foreach { q =>
-      val qKey = cm.esklsh.hashQuery(q)(0)
-      val pred = cm.predictStart(0, qKey)
-      val truth = arr.insertionPoint(qKey)
-      val isOor = pred == 0 || pred == corpus.n - 1
-      val isLe = math.abs(pred - truth) > 10 // scaled k (paper: 100)
-      if (isOor) oor += 1
-      if (isLe) le += 1
-      if (isOor && isLe) overlap += 1
-    }
-    (oor, le, overlap)
+    Table4Experiment.counts(cm, task.queries, k = 10) // scaled k (paper: 100)
   }
 
   test("without re-scaling, out-of-range predictions dominate and overlap large errors") {

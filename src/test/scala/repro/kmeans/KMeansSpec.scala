@@ -226,8 +226,14 @@ class KMeansSpec extends AnyFunSuite with PropertySupport {
     val cs = model.centroids
     assert(KMeans.assign(model, data).toSeq == data.toSeq.map(Reference.nearest(cs, _)))
     val queries = data ++ points(20, data(0).length, grid = true, seed + 1)
+    val scratch = new Array[Double](cs.length) // reused across queries, as PQ's encode does
+    val d = new Array[Double](cs.length)
     queries.foreach { q =>
       assert(model.nearest(q) == Reference.nearest(cs, q))
+      assert(model.nearest(q, scratch) == Reference.nearest(cs, q))
+      model.sqDists(q, d)
+      assert(d.toSeq.map(java.lang.Double.doubleToRawLongBits) ==
+        cs.toSeq.map(c => java.lang.Double.doubleToRawLongBits(VecOps.sqDist(q, c))))
       Seq(1, 3, cs.length + 2).foreach { n =>
         assert(model.nearestN(q, n).toSeq == Reference.nearestN(cs, q, n).toSeq)
       }

@@ -5,11 +5,6 @@ import scala.util.Random
 
 class EigenSpec extends AnyFunSuite {
 
-  private def rotation2(theta: Double): Mat =
-    Mat.fromRows(Array(
-      Array(math.cos(theta), -math.sin(theta)),
-      Array(math.sin(theta), math.cos(theta))))
-
   private def randomSymmetric(n: Int, seed: Long): Mat = {
     val rnd = new Random(seed)
     val m = Mat.zeros(n, n)
@@ -95,19 +90,5 @@ class EigenSpec extends AnyFunSuite {
     val sigma = Mat.zeros(2, 2); sigma(0, 0) = s(0); sigma(1, 1) = s(1)
     assert((u * sigma * v.t).maxAbsDiff(a) < 1e-7)
     assert((u.t * u).maxAbsDiff(Mat.eye(2)) < 1e-7)
-  }
-
-  test("procrustes of an orthogonal matrix recovers it") {
-    val r = rotation2(0.7)
-    // procrustes(M) maximizes tr(Rᵀ M); for orthogonal M the optimum is M.
-    val got = Eigen.procrustes(r)
-    assert(got.maxAbsDiff(r) < 1e-7)
-  }
-
-  test("procrustes output is orthogonal") {
-    val rnd = new Random(17)
-    val m = Mat.fromRows(Array.fill(4)(Array.fill(4)(rnd.nextGaussian())))
-    val r = Eigen.procrustes(m)
-    assert((r.t * r).maxAbsDiff(Mat.eye(4)) < 1e-7)
   }
 }

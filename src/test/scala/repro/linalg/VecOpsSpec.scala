@@ -119,12 +119,4 @@ class VecOpsSpec extends AnyFunSuite with PropertySupport {
   test("mean divides accumulator by count") {
     assert(VecOps.mean(Array(2.0, 4.0), 2).toSeq == Seq(1f, 2f))
   }
-
-  test("argmax returns first maximal index") {
-    assert(VecOps.argmax(Array(1.0, 5.0, 5.0, 2.0)) == 1)
-  }
-
-  test("argmin returns first minimal index") {
-    assert(VecOps.argmin(Array(3.0, 0.0, 0.0, 2.0)) == 1)
-  }
 }

@@ -10,7 +10,7 @@ class AnnIndexInputSpec extends AnyFunSuite {
   /** Every AnnIndex, then `Lider.search` and one in-cluster `CoreModel.search`. */
   private lazy val searches: Seq[(String, (Array[Float], Int) => Array[repro.core.Scored])] = {
     val indexes = Scaled.Methods.map(m => Scaled.buildIndex(m, corpus, "MS-100k"))
-    val lider = indexes.collectFirst { case l: LiderIndex => l.lider }.get
+    val lider = indexes.collectFirst { case l: repro.core.Lider => l }.get
     val cluster = lider.inClusterRetrievers.maxBy(_.size)
     indexes.map(ix => ix.name -> ((v: Array[Float], k: Int) => ix.search(v, k))) ++ Seq(
       "Lider.search" -> ((v: Array[Float], k: Int) => lider.search(v, k)),

@@ -2,7 +2,7 @@ package repro.retrieval
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.Flat
-import repro.core.{Lider, LiderParams, CoreModelParams}
+import repro.core.{Lider, LiderParams}
 
 class EvalSpec extends AnyFunSuite {
 
@@ -32,24 +32,13 @@ class EvalSpec extends AnyFunSuite {
     assert(ndcg > 0.5, s"flat ndcg=$ndcg")
   }
 
-  test("LiderIndex adapter matches direct Lider search") {
-    val (lider, _) = Lider.build(corpus.vectors, corpus.ids,
-      LiderParams(c = 12, c0 = 4,
-        centroidCore = CoreModelParams(numArrays = 6),
-        clusterCore = CoreModelParams(numArrays = 6),
-        kmeansSample = 1500))
-    val adapter = new LiderIndex(lider)
-    val q = corpus.vectors(50)
-    assert(adapter.search(q, 10).toSeq == lider.search(q, 10).toSeq)
-    assert(adapter.name == "LIDER")
-  }
-
   test("LIDER quality on the point task is within reach of Flat (shape sanity)") {
     val task = RetrievalData.pointTask(corpus, 80, seed = 3)
     val (flatMrr, _) = Eval.pointScore(flat, task, 10)
     val (lider, _) = Lider.build(corpus.vectors, corpus.ids,
       LiderParams(c = 10, c0 = 4, kmeansSample = 1500))
-    val (liderMrr, _) = Eval.pointScore(new LiderIndex(lider), task, 10)
+    assert(lider.name == "LIDER")
+    val (liderMrr, _) = Eval.pointScore(lider, task, 10)
     assert(liderMrr > flatMrr * 0.5, s"lider=$liderMrr flat=$flatMrr")
   }
 }

@@ -29,7 +29,7 @@ class GoldenTopKSpec extends AnyFunSuite {
     "SK-LSH" -> Seq("0ca1c5786a22d769", "aa091baf28464ccc", "090ebd34724f46b0"),
     "LIDER" -> Seq("336c683edf1864a6", "f30966a908e0bb45", "7ae5f50677807d43"))
 
-  private def digest(index: repro.baselines.AnnIndex, k: Int): String = {
+  private def digest(index: repro.core.AnnIndex, k: Int): String = {
     val md = MessageDigest.getInstance("SHA-256")
     val buf = ByteBuffer.allocate(16)
     queries.foreach { q =>

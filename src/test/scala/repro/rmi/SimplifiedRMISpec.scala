@@ -82,4 +82,52 @@ class SimplifiedRMISpec extends AnyFunSuite {
     val rmi = SimplifiedRMI.fit(keys, 5)
     keys.foreach(k => assert(rmi.predict(k) == rmi.predict(k)))
   }
+
+  /** The fit that `SimplifiedRMI.fit` replaced, kept as the reference: it
+    * routes each key inline and groups the leaves' points in `ArrayBuffer`s.
+    */
+  private def referenceFit(keys: Array[Double], width: Int, useSgd: Boolean): SimplifiedRMI = {
+    val n = keys.length
+    val positions = Array.tabulate(n)(_.toDouble)
+    def train(xs: Array[Double], ys: Array[Double]): LinearModel =
+      if (useSgd) LinearModel.fitSGD(xs, ys) else LinearModel.fit(xs, ys)
+    val root = train(keys, positions)
+    val w = math.max(1, width)
+    val buckets = Array.fill(w)(new scala.collection.mutable.ArrayBuffer[Int])
+    for (i <- 0 until n) {
+      val p = root.predict(keys(i))
+      buckets(math.min(w - 1, math.max(0, math.floor(p * w / n.toDouble).toInt))) += i
+    }
+    val leaves = Array.tabulate(w) { j =>
+      val idx = buckets(j)
+      if (idx.isEmpty) root else train(idx.map(keys).toArray, idx.map(positions).toArray)
+    }
+    SimplifiedRMI(root, leaves, n.toLong)
+  }
+
+  test("fit's root and leaves keep the reference fit's bits") {
+    def bits(m: LinearModel) = (java.lang.Double.doubleToRawLongBits(m.slope), java.lang.Double.doubleToRawLongBits(m.intercept))
+    val rnd = new Random(9)
+    var acc = 0.0
+    val inputs = Seq(
+      Array.tabulate(100)(i => i * 2.0),
+      Array.tabulate(50)(_.toDouble),
+      Array.tabulate(200)(i => if (i < 100) i.toDouble else 100.0 + (i - 100) * 10.0),
+      Array.tabulate(500) { _ => acc += rnd.nextDouble(); acc },
+      Array.tabulate(100)(i => (i / 10).toDouble),
+      Array.tabulate(30)(i => i * 3.0),
+      Array.fill(20)(5.0),
+      Array(42.0),
+      Array.tabulate(100)(i => math.pow(i.toDouble, 1.3)),
+      Array.tabulate(300)(i => math.exp(i / 40.0)))
+    for (keys <- inputs; width <- Seq(0, 1, 2, 3, 4, 5, 8, 10, 64); sgd <- Seq(false, true)) {
+      val got = SimplifiedRMI.fit(keys, width, useSgd = sgd)
+      val want = referenceFit(keys, width, sgd)
+      val clue = s"n = ${keys.length}, width = $width, sgd = $sgd"
+      assert(bits(got.root) == bits(want.root), clue)
+      assert(got.leaves.map(bits).toSeq == want.leaves.map(bits).toSeq, clue)
+      assert(got.n == want.n, clue)
+      keys.foreach(k => assert(got.predict(k) == want.predict(k), clue))
+    }
+  }
 }
