@@ -1,43 +1,44 @@
 package repro.baselines
 
 import repro.core.{AnnIndex, Scored, TopK}
+import repro.esklsh.ESKLSH
 import repro.linalg.{IdOps, VecOps}
-import repro.lsh.RandomHyperplaneLSH
 
 /** Multi-probe LSH baseline standing in for FALCONN (paper §7.1.2
   * baseline 7; FALCONN is itself built on multi-probe LSH, Lv et al. [24]).
   *
-  * `numTables` hyperplane hash tables over packed binary keys. At query
-  * time each table is probed with the query's own bucket plus the
-  * `probesPerTable − 1` most promising perturbed buckets, generated
-  * best-first over perturbation sets ranked by the summed squared margins
-  * of the flipped bits (the classic multi-probe ordering: bits whose
-  * projections sit closest to the hyperplane are flipped first). The
-  * probed buckets' rows, in table then probe order, are deduped first-seen
-  * ([[IdOps.distinct]]) and verified by exact score.
+  * `numTables` hyperplane hash functions, each table one ESK-LSH sorted
+  * hashkey array: a bucket is the run of entries with one key
+  * ([[repro.esklsh.SortedKeyArray.idsWithKey]]). At query time each table
+  * is probed with the query's own bucket plus the `probesPerTable − 1` most
+  * promising perturbed buckets, generated best-first over perturbation sets
+  * ranked by the summed squared margins of the flipped bits (the classic
+  * multi-probe ordering: bits whose projections sit closest to the
+  * hyperplane are flipped first). The probed buckets' rows, in table then
+  * probe order, are deduped first-seen ([[IdOps.distinct]]) and verified
+  * by exact score.
   */
 final class MultiProbeLSH(
     vectors: Array[Array[Float]],
     ids: Array[Long],
-    lsh: RandomHyperplaneLSH,
-    tables: Array[java.util.HashMap[Long, Array[Int]]],
+    esklsh: ESKLSH,
     probesPerTable: Int)
     extends AnnIndex {
 
   override def name: String = "FALCONN"
 
   override def search(q: Array[Float], k: Int): Array[Scored] = {
+    val lsh = esklsh.lsh
     VecOps.requireQuery(q, lsh.dim)
     val probed = new scala.collection.mutable.ArrayBuilder.ofRef[Array[Int]]
     var t = 0
-    while (t < tables.length) {
+    while (t < esklsh.numArrays) {
       val margins = lsh.margins(q, t)
       val key = lsh.key(margins)
       val probeKeys = MultiProbeLSH.probeSequence(key, margins, lsh.keyLen, probesPerTable)
       var p = 0
       while (p < probeKeys.length) {
-        val bucket = tables(t).get(probeKeys(p))
-        if (bucket != null) probed += bucket
+        probed += esklsh.arrays(t).idsWithKey(probeKeys(p))
         p += 1
       }
       t += 1
@@ -85,29 +86,16 @@ object MultiProbeLSH {
     out.toArray
   }
 
+  /** The tables are ESK-LSH's sorted arrays, as SK-LSH builds them
+    * (`b` is unused by probing). A `keyLen` whose entries exceed 63 bits
+    * ([[repro.esklsh.SortedKeyArray]]) fails before anything is hashed.
+    */
   def build(
       vectors: Array[Array[Float]],
       ids: Array[Long],
       numTables: Int,
       keyLen: Int,
       probesPerTable: Int,
-      seed: Long = 43L): MultiProbeLSH = {
-    val dim = vectors(0).length
-    val lsh = RandomHyperplaneLSH(dim, numTables, keyLen, seed)
-    val tables = repro.linalg.Parallel.tabulate(numTables) { t =>
-      val grouped = new java.util.HashMap[Long, scala.collection.mutable.ArrayBuffer[Int]]()
-      var i = 0
-      while (i < vectors.length) {
-        val key = lsh.hash(vectors(i), t)
-        var buf = grouped.get(key)
-        if (buf == null) { buf = new scala.collection.mutable.ArrayBuffer[Int](); grouped.put(key, buf) }
-        buf += i
-        i += 1
-      }
-      val frozen = new java.util.HashMap[Long, Array[Int]](grouped.size())
-      grouped.forEach((k, v) => frozen.put(k, v.toArray))
-      frozen
-    }
-    new MultiProbeLSH(vectors, ids, lsh, tables, probesPerTable)
-  }
+      seed: Long = 43L): MultiProbeLSH =
+    new MultiProbeLSH(vectors, ids, ESKLSH.build(vectors, numTables, keyLen, 1, seed), probesPerTable)
 }

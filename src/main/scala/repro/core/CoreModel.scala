@@ -29,7 +29,9 @@ final case class CoreModelParams(
     r0: Int = 3,
     rescaleKeys: Boolean = true,
     sgdRmi: Boolean = false,
-    seed: Long = 7L)
+    seed: Long = 7L) {
+  require(r0 > 0, s"r0 = $r0: the expansion factor must be positive (per-array range R = r0 · k_m)")
+}
 
 /** The basic index-and-search unit of LIDER (paper §3.1): ESK-LSH for
   * dimension reduction, key re-scaling, and one simplified RMI per sorted

@@ -93,7 +93,7 @@ object CoreModelCodec {
     val numKeys = count("H", in.readInt(), 1, length / (4L * dim), length)
     val keyLen = count("M", in.readInt(), 1, math.min(Hashkey.MaxLen, length / (4L * dim * numKeys)), length)
     val b = count("b", in.readInt(), 0, Hashkey.MaxLen, length)
-    val r0 = in.readInt()
+    val r0 = count("r0", in.readInt(), 1, Int.MaxValue, length)
     val rescaleKeys = in.readBoolean()
 
     val vectors = Array.fill(n) {

@@ -11,6 +11,7 @@ import org.apache.spark.sql.sources.{DataSourceRegister, EqualTo, Filter, In}
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import repro.core.Scored
+import repro.linalg.IdOps
 import scala.jdk.CollectionConverters._
 
 /** LIDER as a DataSource V2 table (DESIGN.md §4). Usage:
@@ -110,7 +111,8 @@ private[datasource] class LiderScan(options: Map[String, String], queryIdFilter:
     val c0 = IndexStore.readMeta(indexDir)("c0").toInt
 
     // Layer 1 on the driver: route every (surviving) query to its c0
-    // target clusters with the centroids retriever.
+    // target clusters with the centroids retriever, then group the
+    // (query, target) pairs by cluster, each cluster's queries in query order.
     val spark = SparkSession.active
     val centroidModel = IndexStore.loadCentroidModel(indexDir)
     val queries = spark.read.parquet(queriesPath)
@@ -119,15 +121,13 @@ private[datasource] class LiderScan(options: Map[String, String], queryIdFilter:
       .map(r => (r.getLong(0), r.getSeq[Float](1).toArray))
       .filter { case (qid, _) => queryIdFilter.forall(_.contains(qid)) }
 
-    val byCluster = scala.collection.mutable.LinkedHashMap[Int, scala.collection.mutable.ArrayBuffer[(Long, Array[Float])]]()
-    queries.foreach { case (qid, emb) =>
-      centroidModel.search(emb, c0).foreach { hit =>
-        byCluster.getOrElseUpdate(hit.id.toInt, new scala.collection.mutable.ArrayBuffer) += ((qid, emb))
-      }
+    val targets = queries.map { case (_, emb) => centroidModel.search(emb, c0) }
+    val queryOf = targets.zipWithIndex.flatMap { case (hits, q) => hits.map(_ => q) }
+    val clusterOf = targets.flatMap(_.map(_.id.toInt))
+    IdOps.group(clusterOf, centroidModel.size).zipWithIndex.collect {
+      case (pairs, cid) if pairs.nonEmpty =>
+        LiderInputPartition(indexDir, cid, pairs.map(i => queries(queryOf(i))), k): InputPartition
     }
-    byCluster.iterator.map { case (cid, qs) =>
-      LiderInputPartition(indexDir, cid, qs.toArray, k): InputPartition
-    }.toArray
   }
 
   override def createReaderFactory(): PartitionReaderFactory = new LiderReaderFactory

@@ -46,6 +46,20 @@ final class SortedKeyArray private (private val bits: Array[Long], val length: I
     lo
   }
 
+  /** The local ids whose key is the `m`-bit key `k`, ascending: the run of
+    * entries from [[insertionPoint]] while the key is `k`. This run is one
+    * multi-probe LSH bucket.
+    */
+  def idsWithKey(k: Long): Array[Int] = {
+    val start = insertionPoint(k)
+    var end = start
+    while (end < length && keyOf(entry(end)) == k) end += 1
+    val out = new Array[Int](end - start)
+    var i = 0
+    while (i < out.length) { out(i) = idOf(entry(start + i)); i += 1 }
+    out
+  }
+
   /** Writes the bit stream's words, which [[SortedKeyArray.read]] reads. */
   def write(out: DataOutputStream): Unit = bits.foreach(out.writeLong)
 }

@@ -1,9 +1,10 @@
 package repro.linalg
 
 /** Integer-id primitives shared by LIDER and its baselines: grouping
-  * indices by bucket (k-means members, inverted lists, RMI leaves) and
-  * first-seen dedupe of candidate lists (ESK-LSH arrays, multi-probe
-  * buckets).
+  * indices by bucket (k-means members, inverted lists, RMI leaves, the
+  * DSv2 planner's (query, target cluster) pairs) and first-seen dedupe of
+  * candidate lists (ESK-LSH arrays, multi-probe buckets, which are runs of
+  * one key in ESK-LSH's sorted arrays).
   */
 object IdOps {
 

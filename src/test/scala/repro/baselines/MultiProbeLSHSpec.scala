@@ -103,6 +103,14 @@ class MultiProbeLSHSpec extends AnyFunSuite {
     }
   }
 
+  test("build rejects a key length whose sorted-array entries exceed 63 bits, naming M and n") {
+    // n = 1000 takes 10 id bits, so M = 53 is the widest key.
+    val widest = MultiProbeLSH.build(corpus.vectors, corpus.ids, 1, 53, 1)
+    assert(widest.search(corpus.vectors(0), 1).head.id == corpus.ids(0))
+    val e = intercept[IllegalArgumentException](MultiProbeLSH.build(corpus.vectors, corpus.ids, 1, 54, 1))
+    assert(e.getMessage.contains("M = 54 does not fit n = 1000"), e.getMessage)
+  }
+
   test("name matches the paper's label") {
     assert(idx.name == "FALCONN")
   }

@@ -124,4 +124,12 @@ class CoreModelSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](
       CoreModel.build(corpus.vectors, Array(1L), CoreModelParams()))
   }
+
+  test("CoreModelParams rejects r0 <= 0, naming it") {
+    for (r0 <- Seq(0, -1, Int.MinValue)) {
+      val e = intercept[IllegalArgumentException](CoreModelParams(r0 = r0))
+      assert(e.getMessage.contains(s"r0 = $r0"), e.getMessage)
+    }
+    assert(CoreModelParams(r0 = 1).r0 == 1)
+  }
 }

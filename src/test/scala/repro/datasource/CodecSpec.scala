@@ -128,4 +128,15 @@ class CodecSpec extends AnyFunSuite {
       assert(e.getMessage.contains(s"field $field = $bad "), e.getMessage)
     }
   }
+
+  test("a file with r0 <= 0 fails with an IllegalArgumentException naming r0, never a model") {
+    val bytes = encode(cm)
+    assert(java.nio.ByteBuffer.wrap(bytes).getInt(28) == cm.r0) // after magic, version, n, dim, H, M, b
+    for (bad <- Seq(0, -1, Int.MinValue)) {
+      val corrupt = bytes.clone()
+      java.nio.ByteBuffer.wrap(corrupt).putInt(28, bad)
+      val e = intercept[IllegalArgumentException](decode(corrupt))
+      assert(e.getMessage.contains(s"field r0 = $bad "), e.getMessage)
+    }
+  }
 }

@@ -125,6 +125,44 @@ class SortedKeyArraySpec extends AnyFunSuite with PropertySupport {
     assert(large.sizeBytes == (100 * (32 + 7) + 63) / 64 * 8)
   }
 
+  /** The ascending ids whose key is `k`: the reference for [[SortedKeyArray.idsWithKey]]. */
+  private def idsWith(ks: Array[Long], k: Long): Seq[Int] = ks.indices.filter(ks(_) == k)
+
+  /** Probes for `idsWithKey`: every key present, its neighbours (mostly
+    * absent), and both extreme `m`-bit keys 0 and 2^m − 1.
+    */
+  private def probes(m: Int, ks: Array[Long]): Seq[Long] = {
+    val top = (1L << m) - 1
+    (ks ++ ks.map(k => (k + 1) & top) ++ ks.map(k => (k - 1) & top) :+ 0L :+ top).toSeq.distinct
+  }
+
+  test("idsWithKey equals the ascending ids whose key is k, present or absent") {
+    checkProp(Prop.forAll(shapeGen) { case (m, ks) =>
+      val arr = SortedKeyArray.build(ks, m)
+      probes(m, ks).forall(k => arr.idsWithKey(k).toSeq == idsWith(ks, k))
+    }, minSuccessful = 300)
+  }
+
+  test("idsWithKey over 1–4-bit keys, where the extremes are present and runs are long") {
+    val dense: Gen[(Int, Array[Long])] = for {
+      m <- Gen.choose(1, 4)
+      n <- Gen.choose(1, 60)
+      ks <- Gen.listOfN(n, Gen.choose(0L, (1L << m) - 1))
+    } yield (m, ks.toArray)
+    checkProp(Prop.forAll(dense) { case (m, ks) =>
+      val arr = SortedKeyArray.build(ks, m)
+      (0L until (1L << m)).forall(k => arr.idsWithKey(k).toSeq == idsWith(ks, k))
+    }, minSuccessful = 300)
+  }
+
+  test("idsWithKey on a one-entry array finds only its key, at either extreme") {
+    for (m <- Seq(1, 4, 62); k <- Seq(0L, (1L << m) - 1)) {
+      val arr = SortedKeyArray.build(Array(k), m)
+      for (q <- probes(m, Array(k)))
+        assert(arr.idsWithKey(q).toSeq == (if (q == k) Seq(0) else Nil), s"m = $m, key $k, probe $q")
+    }
+  }
+
   test("single-element array works") {
     val arr = SortedKeyArray.build(Array(7L), 4)
     assert(arr.length == 1 && arr.insertionPoint(7L) == 0 && arr.insertionPoint(8L) == 1)
