@@ -31,9 +31,10 @@ final class SKLSH(
     VecOps.requireQuery(q, esklsh.lsh.dim)
     val queryKeys = esklsh.hashQuery(q)
     val starts = Array.tabulate(esklsh.numArrays)(h => esklsh.arrays(h).insertionPoint(queryKeys(h)))
-    // Same total candidate budget as LIDER-style expansion: R per array.
-    val total = math.max(1, r0 * k) * esklsh.numArrays
-    val cands = esklsh.expandIterativeGlobal(queryKeys, starts, total)
+    // Same total candidate budget as LIDER-style expansion: R per array,
+    // in Long and clamped to every entry, so no r0 or k wraps it.
+    val total = math.min(math.max(1L, r0.toLong * k), esklsh.size.toLong) * esklsh.numArrays
+    val cands = esklsh.expandIterativeGlobal(queryKeys, starts, total.toInt)
     TopK.verify(q, vectors, ids, cands, k)
   }
 }

@@ -60,9 +60,10 @@ final class CoreModel(
     rmis(h).predict(rmiKey(h, queryKey)).toInt
 
   /** Full single-core-model search (§3.3.1, five steps): hash the query,
-    * re-scale, RMI-predict, expand R = r0·k_m per array in parallel, then
-    * verify candidates by exact score and keep the top k_m, sorted
-    * descending.
+    * re-scale, RMI-predict, expand R = r0·k_m per array (the arrays walk
+    * concurrently only from [[ESKLSH.MinParallelWork]] total steps, which
+    * no in-cluster retriever reaches), then verify candidates by exact
+    * score and keep the top k_m, sorted descending.
     */
   def search(q: Array[Float], km: Int): Array[Scored] = {
     VecOps.requireQuery(q, esklsh.lsh.dim)
@@ -74,7 +75,8 @@ final class CoreModel(
     * array's walk takes every member, so hashing, prediction and expansion
     * are skipped: the candidate set is the same, and the collector's strict
     * total order makes the top k independent of the order candidates
-    * arrive in.
+    * arrive in. R = r0·k_m is a `Long`, so a large r0 or k_m never wraps
+    * it below the size.
     *
     * The query must already be checked. Unless `longKeys` is null it is
     * also already hashed under a plane set of key length `longLen` that
@@ -82,13 +84,13 @@ final class CoreModel(
     * then the leading `keyLen` bits of that key.
     */
   private[core] def candidates(q: Array[Float], km: Int, longKeys: Array[Long], longLen: Int): Array[Int] = {
-    val range = math.max(1, r0 * km)
+    val range = math.max(1L, r0.toLong * km)
     if (range >= size) return null
     val queryKeys =
       if (longKeys == null) esklsh.hashQuery(q)
       else Array.tabulate(longKeys.length)(h => longKeys(h) >>> (longLen - esklsh.keyLen))
     val starts = Array.tabulate(esklsh.numArrays)(h => predictStart(h, queryKeys(h)))
-    esklsh.expandAll(queryKeys, starts, range)
+    esklsh.expandAll(queryKeys, starts, range.toInt)
   }
 
   /** Candidate verification: exact scores, top-k_m descending; a null

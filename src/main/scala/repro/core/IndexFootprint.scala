@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.esklsh.ESKLSH
+import repro.lsh.RandomHyperplaneLSH
 
 /** Exact byte accounting of index structures for the Table 5 memory
   * comparison (LIDER vs original SK-LSH).
@@ -18,9 +19,9 @@ object IndexFootprint {
 
   private val BytesPerLinearModel = 16L // slope + intercept doubles
 
-  /** Hyperplane bytes of one LSH model (H × M × dim floats). */
-  def planesBytes(e: ESKLSH): Long =
-    e.lsh.numKeys.toLong * e.lsh.keyLen * e.lsh.dim * 4L
+  /** Hyperplane bytes of one plane set (H × M × dim floats). */
+  def planesBytes(lsh: RandomHyperplaneLSH): Long =
+    lsh.numKeys.toLong * lsh.keyLen * lsh.dim * 4L
 
   /** Sorted arrays (packed key and id entries) of one ESK-LSH instance,
     * plus its hyperplanes unless they are shared (LIDER's in-cluster
@@ -28,7 +29,7 @@ object IndexFootprint {
     */
   def esklshBytes(e: ESKLSH, includePlanes: Boolean = true): Long = {
     val arrays = e.arrays.map(_.sizeBytes).sum
-    arrays + (if (includePlanes) planesBytes(e) else 0L)
+    arrays + (if (includePlanes) planesBytes(e.lsh) else 0L)
   }
 
   /** One core model: ESK-LSH + rescalers + RMIs (+ the id remap). */
@@ -41,15 +42,14 @@ object IndexFootprint {
 
   /** Full LIDER: centroid vectors (index structure, not corpus data, held
     * by the centroids retriever) + centroids retriever + all in-cluster
-    * retrievers, whose hyperplanes are one shared set (counted once at the
-    * largest key length).
+    * retrievers, whose hyperplanes are one shared set, [[Lider.clusterLsh]],
+    * counted once.
     */
   def liderBytes(l: Lider): Long = {
     val centroids = l.centroidsRetriever
     val centroidVecs = centroids.size.toLong * centroids.esklsh.lsh.dim * 4L
     val cr = coreModelBytes(centroids)
     val irs = l.inClusterRetrievers.iterator.map(coreModelBytes(_, includePlanes = false)).sum
-    val sharedPlanes = l.inClusterRetrievers.iterator.map(cm => planesBytes(cm.esklsh)).max
-    centroidVecs + cr + irs + sharedPlanes
+    centroidVecs + cr + irs + planesBytes(l.clusterLsh)
   }
 }

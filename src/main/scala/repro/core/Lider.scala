@@ -67,9 +67,10 @@ final class Lider(
   /** The longest in-cluster plane set. [[Lider.build]] gives every cluster
     * a prefix of one shared set, and a loaded index must too: a query is
     * hashed once under this set, and each cluster takes its keys' leading
-    * bits.
+    * bits. It is the one in-cluster plane set that the index stores and
+    * that its footprint counts.
     */
-  private val queryLsh: RandomHyperplaneLSH = {
+  val clusterLsh: RandomHyperplaneLSH = {
     val longest = inClusterRetrievers.maxBy(_.esklsh.keyLen).esklsh.lsh
     for (cid <- inClusterRetrievers.indices)
       require(inClusterRetrievers(cid).esklsh.lsh.isPrefixOf(longest),
@@ -113,10 +114,10 @@ final class Lider(
   override def search(q: Array[Float], k: Int): Array[Scored] = {
     require(k > 0, s"k must be positive, got $k")
     val targets = targetClusters(q, params.c0)
-    val keys = queryLsh.hashAll(q)
+    val keys = clusterLsh.hashAll(q)
     val perCluster = Parallel.tabulate(targets.length) { i =>
       val cm = inClusterRetrievers(targets(i))
-      val rows = cm.candidates(q, k, keys, queryLsh.keyLen)
+      val rows = cm.candidates(q, k, keys, clusterLsh.keyLen)
       (rows, TopK.scores(q, cm.vectors, rows))
     }
     val top = new TopK.Collector(k)

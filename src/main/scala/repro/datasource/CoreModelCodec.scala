@@ -1,71 +1,85 @@
 package repro.datasource
 
-import java.io.{DataInputStream, DataOutputStream}
+import java.io.{DataInputStream, DataOutputStream, EOFException}
 import repro.core.CoreModel
 import repro.esklsh.{ESKLSH, SortedKeyArray}
 import repro.lsh.{Hashkey, RandomHyperplaneLSH}
 import repro.rmi.{KeyRescaler, LinearModel, SimplifiedRMI}
 
-/** Binary on-disk format of one core model — the per-cluster index files
-  * the LIDER DataSource V2 reads. A custom explicit codec (not Java
+/** Binary on-disk format of the LIDER DataSource V2 index files: plane-set
+  * records and core-model records. A custom explicit codec (not Java
   * serialization) so the format is stable, compact and readable from a
   * `PartitionReader` without any Spark machinery.
   *
-  * Layout (big-endian, via DataOutputStream):
-  *   magic "LIDR", version, n, dim, H, M, b, r0, rescaleKeys,
-  *   vectors (n·dim floats), globalIds (n longs),
-  *   hyperplanes (H·M·dim floats),
-  *   per array: its packed (key, local id) words, as SortedKeyArray.write
-  *     writes them,
-  *   per array: rescaler (min, max, len),
-  *   per array: RMI (root a/b, W, leaves a/b, n)
+  * A model record holds no hyperplanes: it is read against a plane set,
+  * and uses that set's first M planes per function, the view
+  * [[RandomHyperplaneLSH.truncate]] makes. So the in-cluster retrievers,
+  * which share one set in memory, share one record on disk too.
+  *
+  * Layouts (big-endian, via DataOutputStream):
+  *   plane set:  magic "LIDR", version, dim, H, M,
+  *               hyperplanes (H·M·dim floats)
+  *   core model: magic "LIDR", version, n, H, M, b, r0, rescaleKeys,
+  *               vectors (n·dim floats), globalIds (n longs),
+  *               per array: its packed (key, local id) words, as
+  *                 SortedKeyArray.write writes them,
+  *               per array: rescaler (min, max, len),
+  *               per array: RMI (root a/b, W, leaves a/b, n)
   */
 object CoreModelCodec {
   private val Magic = 0x4C494452 // "LIDR"
-  private val Version = 2
+  private val Version = 3
+  private val PlanesHeaderBytes = 20L
+
+  def writePlanes(lsh: RandomHyperplaneLSH, out: DataOutputStream): Unit = {
+    out.writeInt(Magic); out.writeInt(Version)
+    out.writeInt(lsh.dim); out.writeInt(lsh.numKeys); out.writeInt(lsh.keyLen)
+    lsh.planes.foreach(_.foreach(writeFloats(out, _)))
+  }
+
+  /** Reads a plane set that [[writePlanes]] wrote into a file of `length`
+    * bytes. dim, H and M are read first. A count below 1, M above
+    * [[Hashkey.MaxLen]], or dim or H above `length` fails with an
+    * `IllegalArgumentException` naming the field. Planes that need more
+    * bytes than the file has after the header fail with an `EOFException`,
+    * as a file cut short does, before anything is allocated by them.
+    */
+  def readPlanes(in: DataInputStream, length: Long): RandomHyperplaneLSH = {
+    readHeader(in)
+    val (dimValue, hValue, mValue) = (in.readInt(), in.readInt(), in.readInt())
+    val dim = count("dim", dimValue, 1, length, length)
+    val numKeys = count("H", hValue, 1, length, length)
+    val keyLen = count("M", mValue, 1, Hashkey.MaxLen, length)
+    if (dim.toLong * numKeys > (length - PlanesHeaderBytes) / 4 / keyLen)
+      throw new EOFException(
+        s"a plane set of dim = $dim, H = $numKeys, M = $keyLen needs more than the $length bytes of its file; the file is cut short")
+    RandomHyperplaneLSH.fromPlanes(Array.fill(numKeys, keyLen)(readFloats(in, dim)))
+  }
 
   def write(cm: CoreModel, out: DataOutputStream): Unit = {
     val n = cm.size
-    val lsh = cm.esklsh.lsh
+    val esk = cm.esklsh
     out.writeInt(Magic); out.writeInt(Version)
-    out.writeInt(n); out.writeInt(lsh.dim)
-    out.writeInt(lsh.numKeys); out.writeInt(lsh.keyLen)
-    out.writeInt(cm.esklsh.b); out.writeInt(cm.r0)
+    out.writeInt(n)
+    out.writeInt(esk.numArrays); out.writeInt(esk.keyLen)
+    out.writeInt(esk.b); out.writeInt(cm.r0)
     out.writeBoolean(cm.rescaleKeys)
 
+    cm.vectors.foreach(writeFloats(out, _))
     var i = 0
-    while (i < n) {
-      val v = cm.vectors(i)
-      var j = 0
-      while (j < v.length) { out.writeFloat(v(j)); j += 1 }
-      i += 1
-    }
-    i = 0
     while (i < n) { out.writeLong(cm.globalIds(i)); i += 1 }
 
+    esk.arrays.foreach(_.write(out))
+
     var h = 0
-    while (h < lsh.numKeys) {
-      var m = 0
-      while (m < lsh.keyLen) {
-        val p = lsh.planes(h)(m)
-        var j = 0
-        while (j < p.length) { out.writeFloat(p(j)); j += 1 }
-        m += 1
-      }
-      h += 1
-    }
-
-    cm.esklsh.arrays.foreach(_.write(out))
-
-    h = 0
-    while (h < lsh.numKeys) {
+    while (h < esk.numArrays) {
       val rs = cm.rescalers(h)
       out.writeLong(rs.min); out.writeLong(rs.max); out.writeLong(rs.arrayLen)
       h += 1
     }
 
     h = 0
-    while (h < lsh.numKeys) {
+    while (h < esk.numArrays) {
       val rmi = cm.rmis(h)
       out.writeDouble(rmi.root.slope); out.writeDouble(rmi.root.intercept)
       out.writeInt(rmi.leaves.length)
@@ -75,42 +89,27 @@ object CoreModelCodec {
     }
   }
 
-  /** Reads a model that [[write]] wrote into `length` bytes. Each count
-    * (n, dim, H, M, b and every RMI's W) is checked before anything is
-    * allocated by it: a count out of its range, or one that sizes a section
-    * larger than `length` bytes, fails with an `IllegalArgumentException`
-    * naming the field. A file cut short fails with an `EOFException`.
+  /** Reads a model that [[write]] wrote into a file of `length` bytes, over
+    * the first M planes per function of `planes`. dim is the set's. Each
+    * count (n, H, M, b and every RMI's W) is checked before anything is
+    * allocated by it: a count out of its range, which for H is the set's H
+    * and for M at most the set's M, or one that sizes a section larger
+    * than `length` bytes, fails with an `IllegalArgumentException` naming
+    * the field. A file cut short fails with an `EOFException`.
     */
-  def read(in: DataInputStream, length: Long): CoreModel = {
-    require(in.readInt() == Magic, "not a LIDER core-model file")
-    val version = in.readInt()
-    require(version == Version,
-      s"core-model format version $version is not supported (this build reads version $Version); rebuild the index")
-    // Bounds by what fits: a vector is at least one float and its id, a
-    // hash array at least one plane of dim floats, a leaf two doubles.
-    val n = count("n", in.readInt(), 1, length / 12, length)
-    val dim = count("dim", in.readInt(), 1, (length / n - 8) / 4, length)
-    val numKeys = count("H", in.readInt(), 1, length / (4L * dim), length)
-    val keyLen = count("M", in.readInt(), 1, math.min(Hashkey.MaxLen, length / (4L * dim * numKeys)), length)
+  def read(in: DataInputStream, length: Long, planes: RandomHyperplaneLSH): CoreModel = {
+    readHeader(in)
+    val dim = planes.dim
+    // Bounds by what fits: a vector is dim floats and its id, a leaf two doubles.
+    val n = count("n", in.readInt(), 1, length / (4L * dim + 8), length)
+    val numKeys = count("H", in.readInt(), planes.numKeys, planes.numKeys, length)
+    val keyLen = count("M", in.readInt(), 1, planes.keyLen, length)
     val b = count("b", in.readInt(), 0, Hashkey.MaxLen, length)
     val r0 = count("r0", in.readInt(), 1, Int.MaxValue, length)
     val rescaleKeys = in.readBoolean()
 
-    val vectors = Array.fill(n) {
-      val v = new Array[Float](dim)
-      var j = 0
-      while (j < dim) { v(j) = in.readFloat(); j += 1 }
-      v
-    }
+    val vectors = Array.fill(n)(readFloats(in, dim))
     val globalIds = Array.fill(n)(in.readLong())
-
-    val planes = Array.fill(numKeys, keyLen) {
-      val p = new Array[Float](dim)
-      var j = 0
-      while (j < dim) { p(j) = in.readFloat(); j += 1 }
-      p
-    }
-    val lsh = RandomHyperplaneLSH.fromPlanes(planes)
 
     val arrays = Array.fill(numKeys)(SortedKeyArray.read(in, n, keyLen))
     val rescalers = Array.fill(numKeys)(KeyRescaler(in.readLong(), in.readLong(), in.readLong()))
@@ -121,12 +120,31 @@ object CoreModelCodec {
       SimplifiedRMI(root, leaves, in.readLong())
     }
 
-    new CoreModel(vectors, globalIds, new ESKLSH(lsh, arrays, b), rescalers, rmis, r0, rescaleKeys)
+    new CoreModel(vectors, globalIds, new ESKLSH(planes.truncate(keyLen), arrays, b), rescalers, rmis, r0, rescaleKeys)
+  }
+
+  private def writeFloats(out: DataOutputStream, v: Array[Float]): Unit = {
+    var j = 0
+    while (j < v.length) { out.writeFloat(v(j)); j += 1 }
+  }
+
+  private def readFloats(in: DataInputStream, dim: Int): Array[Float] = {
+    val v = new Array[Float](dim)
+    var j = 0
+    while (j < dim) { v(j) = in.readFloat(); j += 1 }
+    v
+  }
+
+  private def readHeader(in: DataInputStream): Unit = {
+    require(in.readInt() == Magic, "not a LIDER index file")
+    val version = in.readInt()
+    require(version == Version,
+      s"index format version $version is not supported (this build reads version $Version); rebuild the index")
   }
 
   private def count(field: String, value: Int, min: Int, max: Long, length: Long): Int = {
     require(value >= min && value <= max,
-      s"core-model field $field = $value is outside [$min, $max] for a file of $length bytes; the file is corrupt")
+      s"index field $field = $value is outside [$min, $max] for a file of $length bytes; the file is corrupt")
     value
   }
 }

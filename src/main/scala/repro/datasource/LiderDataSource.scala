@@ -101,13 +101,19 @@ private[datasource] class LiderScan(options: Map[String, String], queryIdFilter:
   private def opt(name: String): String =
     options.getOrElse(name, throw new IllegalArgumentException(s"lider: missing option '$name'"))
 
+  // Checked when Spark builds the scan, before any task runs.
+  private val k = {
+    val text = options.getOrElse("k", "10")
+    text.toIntOption.filter(_ > 0).getOrElse(
+      throw new IllegalArgumentException(s"lider: option 'k' must be a positive integer, got '$text'"))
+  }
+
   override def readSchema(): StructType = LiderDataSource.Schema
   override def toBatch: Batch = this
 
   override def planInputPartitions(): Array[InputPartition] = {
     val indexDir = opt("index")
     val queriesPath = opt("queries")
-    val k = options.getOrElse("k", "10").toInt
     val c0 = IndexStore.readMeta(indexDir)("c0").toInt
 
     // Layer 1 on the driver: route every (surviving) query to its c0

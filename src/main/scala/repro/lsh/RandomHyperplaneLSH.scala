@@ -13,8 +13,9 @@ import scala.util.Random
   *
   * `planes(h)(i)` is the i-th hyperplane of compound function h. Construct
   * via the companion: seeded (deterministic Gaussian directions, so index
-  * build and query-time hashing agree) or from persisted planes (the
-  * DataSource V2 reader path).
+  * build and query-time hashing agree) or from persisted planes (a plane-set
+  * record of an index directory, which every in-cluster model of a loaded
+  * index views through [[truncate]], as a built index's do).
   */
 final class RandomHyperplaneLSH private[lsh] (
     val dim: Int,
@@ -71,8 +72,8 @@ final class RandomHyperplaneLSH private[lsh] (
   /** A view with the first `m` hyperplanes per compound function. The
     * per-bit plane vectors (the heavy arrays) are *shared*, which is how
     * LIDER keeps one hyperplane set across its ~1000 in-cluster
-    * retrievers (per-cluster key lengths differ, plane directions need
-    * not — they are data-independent random draws).
+    * retrievers, built or loaded (per-cluster key lengths differ, plane
+    * directions need not — they are data-independent random draws).
     */
   def truncate(m: Int): RandomHyperplaneLSH = {
     require(m <= keyLen, s"cannot truncate to $m > $keyLen")
@@ -92,7 +93,7 @@ object RandomHyperplaneLSH {
     new RandomHyperplaneLSH(dim, numKeys, keyLen, planes)
   }
 
-  /** Reconstruction from persisted hyperplanes (index load path). */
+  /** Reconstruction from persisted hyperplanes (a plane-set record). */
   def fromPlanes(planes: Array[Array[Array[Float]]]): RandomHyperplaneLSH = {
     require(planes.nonEmpty && planes(0).nonEmpty && planes(0)(0).nonEmpty, "empty planes")
     new RandomHyperplaneLSH(planes(0)(0).length, planes.length, planes(0).length, planes)

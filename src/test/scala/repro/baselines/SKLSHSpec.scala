@@ -16,6 +16,12 @@ class SKLSHSpec extends AnyFunSuite {
     assert(got.sliding(2).forall(p => p(0).score >= p(1).score))
   }
 
+  test("an r0 for which r0·k exceeds Int.MaxValue verifies every entry: search equals Flat") {
+    val huge = new SKLSH(corpus.vectors, corpus.ids, idx.esklsh, r0 = 1 << 30)
+    for (i <- 0 until 10; q = corpus.vectors(i * 17 + 2))
+      assert(huge.search(q, 10).toSeq == flat.search(q, 10).toSeq, s"query $i")
+  }
+
   test("self-retrieval mostly succeeds") {
     var hits = 0
     for (i <- 0 until 40) {

@@ -15,7 +15,7 @@ class IndexFootprintSpec extends AnyFunSuite {
     val planes = 4L * 10 * 32 * 4
     assert(IndexFootprint.esklshBytes(e) == arrays + planes)
     assert(IndexFootprint.esklshBytes(e, includePlanes = false) == arrays)
-    assert(IndexFootprint.planesBytes(e) == planes)
+    assert(IndexFootprint.planesBytes(e.lsh) == planes)
   }
 
   test("packed key storage is far below 8 bytes per entry for short keys") {
@@ -63,7 +63,7 @@ class IndexFootprintSpec extends AnyFunSuite {
     val manual = lider.centroidsRetriever.size.toLong * 32 * 4 +
       IndexFootprint.coreModelBytes(lider.centroidsRetriever) +
       irs.map(IndexFootprint.coreModelBytes(_, includePlanes = false)).sum +
-      irs.map(cm => IndexFootprint.planesBytes(cm.esklsh)).max
+      irs.map(cm => IndexFootprint.planesBytes(cm.esklsh.lsh)).max
     assert(IndexFootprint.liderBytes(lider) == manual)
   }
 

@@ -122,6 +122,16 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
     assert(covered > 0 && expanded > 0, s"covered $covered, expanded $expanded")
   }
 
+  test("a k for which r0·k exceeds Int.MaxValue is answered by full cover, not wrapped to one entry per array") {
+    val k = Int.MaxValue / params.clusterCore.r0 + 1
+    for (i <- 0 until 10; q = corpus.vectors(i * 53)) {
+      val members = lider.targetClusters(q, params.c0).map(lider.inClusterRetrievers(_))
+      val all = TopK.verify(q, members.flatMap(_.vectors), members.flatMap(_.globalIds), null, k)
+      assert(all.length == members.map(_.size).sum)
+      assert(bits(lider.search(q, k)) == bits(all), s"query $i")
+    }
+  }
+
   test("with an exhaustive budget (c0 = c, r0·k ≥ the largest cluster) search equals Flat, ids and score bits") {
     // c0 runs from c to c + 3, and one corpus in four repeats a few distinct
     // vectors, so that k-means leaves clusters empty and c0 exceeds c′.

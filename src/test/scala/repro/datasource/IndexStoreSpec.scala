@@ -3,7 +3,7 @@ package repro.datasource
 import java.io.File
 import java.nio.file.Files
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{CoreModelParams, Lider, LiderParams, LiderSpec, Scored}
+import repro.core.{CoreModel, CoreModelParams, IndexFootprint, Lider, LiderParams, LiderSpec, Scored}
 import repro.retrieval.RetrievalData
 
 class IndexStoreSpec extends AnyFunSuite {
@@ -39,6 +39,67 @@ class IndexStoreSpec extends AnyFunSuite {
         assert(bits(loaded.search(q, k)) == bits(lider.search(q, k)), s"$name, k = $k")
     }
     assert(repeating._1.numClusters < params.c && plain._1.numClusters == params.c)
+  }
+
+  /** Bytes of `cm`'s model record, by the layout: a header of seven ints
+    * and a byte, vectors, ids, sorted arrays, rescalers and RMIs, and no
+    * planes.
+    */
+  private def modelRecordBytes(cm: CoreModel): Long =
+    7 * 4 + 1 + cm.size.toLong * (cm.esklsh.lsh.dim * 4 + 8) + cm.esklsh.arrays.map(_.sizeBytes).sum +
+      cm.esklsh.numArrays * 24L + cm.rmis.map(r => 16 + 4 + 16L * r.leaves.length + 8).sum
+
+  test("a loaded index shares one in-cluster plane set by reference, and its footprint is the built one's") {
+    for (((lider, dir), name) <- Seq(plain -> "plain", repeating -> "repeating")) {
+      val loaded = IndexStore.load(dir)
+      val set = loaded.clusterLsh
+      assert(set.keyLen == lider.clusterLsh.keyLen, name)
+      for (cm <- loaded.inClusterRetrievers; h <- 0 until set.numKeys; i <- 0 until cm.esklsh.keyLen)
+        assert(cm.esklsh.lsh.planes(h)(i) eq set.planes(h)(i), s"$name, function $h, plane $i")
+      assert(IndexFootprint.liderBytes(loaded) == IndexFootprint.liderBytes(lider), name)
+    }
+  }
+
+  test("the cluster files hold no planes; the directory holds the in-cluster set once") {
+    for (((lider, dir), name) <- Seq(plain -> "plain", repeating -> "repeating")) {
+      assert(new File(dir).list().sorted.toSeq == Seq("centroid_model.bin", "cluster_planes.bin", "clusters", "meta.txt"), name)
+      for (cid <- 0 until lider.numClusters)
+        assert(new File(dir, s"clusters/$cid.bin").length == modelRecordBytes(lider.inClusterRetrievers(cid)), s"$name, cluster $cid")
+      val set = lider.clusterLsh
+      assert(set.keyLen == lider.inClusterRetrievers.map(_.esklsh.keyLen).max, name)
+      assert(new File(dir, "cluster_planes.bin").length == 20 + 4L * set.numKeys * set.keyLen * set.dim, name)
+      val centroids = lider.centroidsRetriever.esklsh.lsh
+      assert(new File(dir, "centroid_model.bin").length ==
+        20 + 4L * centroids.numKeys * centroids.keyLen * centroids.dim + modelRecordBytes(lider.centroidsRetriever), name)
+    }
+  }
+
+  test("a missing or cut cluster_planes.bin fails naming the file or with an EOFException, never an index") {
+    val (_, dir) = saved(RetrievalData.corpus(900, 16, seed = 31).vectors)
+    val planes = new File(dir, "cluster_planes.bin")
+    val bytes = Files.readAllBytes(planes.toPath)
+    for (cut <- Seq(0, 10, 20, bytes.length / 2, bytes.length - 1)) {
+      Files.write(planes.toPath, bytes.take(cut))
+      intercept[java.io.EOFException](IndexStore.load(dir))
+      intercept[java.io.EOFException](IndexStore.loadClusterModel(dir, 0))
+    }
+    assert(planes.delete())
+    for (load <- Seq(() => IndexStore.load(dir), () => IndexStore.loadClusterModel(dir, 0))) {
+      val e = intercept[java.io.FileNotFoundException](load())
+      assert(e.getMessage.contains(planes.getPath), e.getMessage)
+    }
+  }
+
+  test("a directory of version-2 files asks for a rebuild") {
+    val (_, dir) = saved(RetrievalData.corpus(900, 16, seed = 37).vectors)
+    for (file <- Seq("clusters/3.bin", "cluster_planes.bin", "centroid_model.bin")) {
+      val f = new File(dir, file).toPath
+      val bytes = Files.readAllBytes(f)
+      java.nio.ByteBuffer.wrap(bytes).putInt(4, 2)
+      Files.write(f, bytes)
+      val e = intercept[IllegalArgumentException](IndexStore.load(dir))
+      assert(e.getMessage.contains("version 2") && e.getMessage.contains("rebuild the index"), s"$file: ${e.getMessage}")
+    }
   }
 
   test("loading a directory that misses a cluster file fails, naming the file") {

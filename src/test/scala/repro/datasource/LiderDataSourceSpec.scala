@@ -167,4 +167,14 @@ class LiderDataSourceSpec extends SparkSpec {
     }
     assert(ex.getMessage.contains("queries") || ex.getCause != null)
   }
+
+  test("a k that is not a positive integer fails at planning with an IllegalArgumentException naming option k") {
+    val (_, indexDir, queriesPath) = built
+    for (bad <- Seq("0", "-1", "abc")) {
+      val df = spark.read.format("lider").option("index", indexDir).option("queries", queriesPath).option("k", bad).load()
+      val ex = intercept[Exception](df.collect())
+      val iae = Iterator.iterate[Throwable](ex)(_.getCause).takeWhile(_ != null).collectFirst { case e: IllegalArgumentException => e }
+      assert(iae.exists(_.getMessage.contains(s"option 'k' must be a positive integer, got '$bad'")), ex.toString)
+    }
+  }
 }
