@@ -7,29 +7,25 @@ import repro.rmi.{KeyRescaler, SimplifiedRMI}
 /** One scored search hit: a global passage id and its similarity score. */
 final case class Scored(id: Long, score: Double)
 
-/** Parameters of a single core model (paper Fig. 1).
+/** Parameters of a single core model (paper Fig. 1). Every core model
+  * re-scales its keys (§5.1), fits its RMIs by closed-form OLS and takes
+  * M = ceil(log2 n) (§6, [[ESKLSH.keyLenFor]]); the Table 4 ablation, which
+  * trains on raw keys by gradient descent, builds its own arms
+  * ([[repro.experiments.Table4Experiment.arm]]).
   *
   * @param numArrays   H — number of ESK-LSH sorted arrays (and RMIs)
-  * @param keyLen      M — hashkey length; `None` → ceil(log2 n) (paper §6)
   * @param b           B — KD_e window width (paper Eq. 6), C = 2^B
   * @param rmiWidth    W — second-layer models per RMI (paper W_c / W_i)
   * @param r0          expansion factor: per-array range R = r0 · k_m
-  * @param rescaleKeys min-max re-scaling on (paper §5.1); the Table 4
-  *                    ablation sets this to false to train on raw keys
-  * @param sgdRmi      train RMI models by fixed-rate gradient descent
-  *                    instead of closed-form OLS — required to *observe*
-  *                    the re-scaling effect (Table 4), since OLS is
-  *                    affine-equivariant; see [[repro.rmi.LinearModel.fitSGD]]
   */
 final case class CoreModelParams(
     numArrays: Int = 10,
-    keyLen: Option[Int] = None,
     b: Int = 3,
     rmiWidth: Int = 5,
     r0: Int = 3,
-    rescaleKeys: Boolean = true,
-    sgdRmi: Boolean = false,
     seed: Long = 7L) {
+  require(numArrays > 0, s"numArrays = $numArrays: a core model needs at least one sorted array (H ≥ 1)")
+  require(rmiWidth > 0, s"rmiWidth = $rmiWidth: an RMI needs at least one second-layer model (W ≥ 1)")
   require(r0 > 0, s"r0 = $r0: the expansion factor must be positive (per-array range R = r0 · k_m)")
 }
 
@@ -38,22 +34,24 @@ final case class CoreModelParams(
   * array. Scores are inner products — all corpus/query embeddings in this
   * repo are L2-normalized, making that identical to cosine similarity
   * (the paper normalizes for the same reason, §7.1.1).
+  *
+  * Each array's re-scaler is derived from the array ([[KeyRescaler.of]]),
+  * so a model built and one loaded from disk hold the same re-scalers.
   */
 final class CoreModel(
     val vectors: Array[Array[Float]],
     val globalIds: Array[Long],
     val esklsh: ESKLSH,
-    val rescalers: Array[KeyRescaler],
     val rmis: Array[SimplifiedRMI],
-    val r0: Int,
-    val rescaleKeys: Boolean)
+    val r0: Int)
     extends Serializable {
+
+  val rescalers: Array[KeyRescaler] = esklsh.arrays.map(KeyRescaler.of)
 
   def size: Int = vectors.length
 
   /** The numeric RMI key of a raw hashkey on array `h` (§5.1). */
-  def rmiKey(h: Int, hashkey: Long): Double =
-    if (rescaleKeys) rescalers(h).rescale(hashkey) else hashkey.toDouble
+  def rmiKey(h: Int, hashkey: Long): Double = rescalers(h).rescale(hashkey)
 
   /** Predicted start position on array `h` for a query hashkey. */
   def predictStart(h: Int, queryKey: Long): Int =
@@ -103,7 +101,7 @@ final class CoreModel(
 object CoreModel {
 
   /** Indexing workflow of a core model (§3.3.1): hash the corpus, sort the
-    * hashkey arrays, re-scale keys, and train one RMI per array on
+    * hashkey arrays, re-scale keys, and fit one OLS RMI per array on
     * (re-scaled key → position) pairs. RMIs train in parallel across
     * arrays (offline build). Vectors of differing lengths or with a
     * non-finite component are rejected first ([[VecOps.requireCorpus]]).
@@ -116,23 +114,14 @@ object CoreModel {
     require(vectors.length == globalIds.length, "vectors/ids mismatch")
     require(vectors.nonEmpty, "core model needs vectors")
     VecOps.requireCorpus(vectors)
-    val m = params.keyLen.getOrElse(ESKLSH.keyLenFor(vectors.length))
-    val esklsh = ESKLSH.build(vectors, params.numArrays, m, params.b, params.seed, sharedLsh)
     val n = vectors.length
-    val rescalers = new Array[KeyRescaler](params.numArrays)
+    val esklsh = ESKLSH.build(vectors, params.numArrays, ESKLSH.keyLenFor(n), params.b, params.seed, sharedLsh)
     val rmis = new Array[SimplifiedRMI](params.numArrays)
     Parallel.foreachRange(params.numArrays) { h =>
-      val keys = esklsh.arrays(h).keys
-      val rescaler = KeyRescaler.fit(keys, n.toLong)
-      rescalers(h) = rescaler
-      val trainKeys = new Array[Double](n)
-      var i = 0
-      while (i < n) {
-        trainKeys(i) = if (params.rescaleKeys) rescaler.rescale(keys(i)) else keys(i).toDouble
-        i += 1
-      }
-      rmis(h) = SimplifiedRMI.fit(trainKeys, params.rmiWidth, useSgd = params.sgdRmi)
+      val arr = esklsh.arrays(h)
+      val rescaler = KeyRescaler.of(arr)
+      rmis(h) = SimplifiedRMI.fit(arr.keys.map(rescaler.rescale), params.rmiWidth)
     }
-    new CoreModel(vectors, globalIds, esklsh, rescalers, rmis, params.r0, params.rescaleKeys)
+    new CoreModel(vectors, globalIds, esklsh, rmis, params.r0)
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.esklsh.ESKLSH
 import repro.kmeans.KMeans
 import repro.linalg.{IdOps, Parallel, VecOps}
 import repro.lsh.RandomHyperplaneLSH
@@ -183,11 +184,10 @@ object Lider {
     // each cluster's key length) — hyperplanes are data-independent, so
     // sharing changes nothing statistically but keeps the Table 5 memory
     // accounting honest across ~1000 clusters.
-    val maxClusterN = clusters.iterator.map(_.length).max
-    val sharedLsh = repro.lsh.RandomHyperplaneLSH(
+    val sharedLsh = RandomHyperplaneLSH(
       vectors(0).length,
       params.clusterCore.numArrays,
-      params.clusterCore.keyLen.getOrElse(repro.esklsh.ESKLSH.keyLenFor(math.max(2, maxClusterN))),
+      ESKLSH.keyLenFor(clusters.iterator.map(_.length).max),
       params.clusterCore.seed)
     val inCluster = Parallel.tabulate(clusters.length) { cid =>
       val idx = clusters(cid)

@@ -4,7 +4,7 @@ import java.io.{DataInputStream, DataOutputStream, EOFException}
 import repro.core.CoreModel
 import repro.esklsh.{ESKLSH, SortedKeyArray}
 import repro.lsh.{Hashkey, RandomHyperplaneLSH}
-import repro.rmi.{KeyRescaler, LinearModel, SimplifiedRMI}
+import repro.rmi.{LinearModel, SimplifiedRMI}
 
 /** Binary on-disk format of the LIDER DataSource V2 index files: plane-set
   * records and core-model records. A custom explicit codec (not Java
@@ -16,19 +16,23 @@ import repro.rmi.{KeyRescaler, LinearModel, SimplifiedRMI}
   * [[RandomHyperplaneLSH.truncate]] makes. So the in-cluster retrievers,
   * which share one set in memory, share one record on disk too.
   *
+  * A model record stores nothing its sorted arrays and n already imply:
+  * each array's re-scaler is derived from the array on load
+  * ([[repro.rmi.KeyRescaler.of]]), and each RMI's n is the model's n.
+  *
   * Layouts (big-endian, via DataOutputStream):
   *   plane set:  magic "LIDR", version, dim, H, M,
   *               hyperplanes (H·M·dim floats)
-  *   core model: magic "LIDR", version, n, H, M, b, r0, rescaleKeys,
+  *   core model: magic "LIDR", version, n, H, M, b, r0,
   *               vectors (n·dim floats), globalIds (n longs),
   *               per array: its packed (key, local id) words, as
   *                 SortedKeyArray.write writes them,
-  *               per array: rescaler (min, max, len),
-  *               per array: RMI (root a/b, W, leaves a/b, n)
+  *               per array: RMI (root slope/intercept, W,
+  *                 W leaves' slope/intercept)
   */
 object CoreModelCodec {
   private val Magic = 0x4C494452 // "LIDR"
-  private val Version = 3
+  private val Version = 4
   private val PlanesHeaderBytes = 20L
 
   def writePlanes(lsh: RandomHyperplaneLSH, out: DataOutputStream): Unit = {
@@ -63,7 +67,6 @@ object CoreModelCodec {
     out.writeInt(n)
     out.writeInt(esk.numArrays); out.writeInt(esk.keyLen)
     out.writeInt(esk.b); out.writeInt(cm.r0)
-    out.writeBoolean(cm.rescaleKeys)
 
     cm.vectors.foreach(writeFloats(out, _))
     var i = 0
@@ -71,21 +74,10 @@ object CoreModelCodec {
 
     esk.arrays.foreach(_.write(out))
 
-    var h = 0
-    while (h < esk.numArrays) {
-      val rs = cm.rescalers(h)
-      out.writeLong(rs.min); out.writeLong(rs.max); out.writeLong(rs.arrayLen)
-      h += 1
-    }
-
-    h = 0
-    while (h < esk.numArrays) {
-      val rmi = cm.rmis(h)
+    cm.rmis.foreach { rmi =>
       out.writeDouble(rmi.root.slope); out.writeDouble(rmi.root.intercept)
       out.writeInt(rmi.leaves.length)
       rmi.leaves.foreach { l => out.writeDouble(l.slope); out.writeDouble(l.intercept) }
-      out.writeLong(rmi.n)
-      h += 1
     }
   }
 
@@ -95,7 +87,8 @@ object CoreModelCodec {
     * allocated by it: a count out of its range, which for H is the set's H
     * and for M at most the set's M, or one that sizes a section larger
     * than `length` bytes, fails with an `IllegalArgumentException` naming
-    * the field. A file cut short fails with an `EOFException`.
+    * the field, as does a NaN or infinite RMI slope or intercept. A file
+    * cut short fails with an `EOFException`.
     */
   def read(in: DataInputStream, length: Long, planes: RandomHyperplaneLSH): CoreModel = {
     readHeader(in)
@@ -106,22 +99,22 @@ object CoreModelCodec {
     val keyLen = count("M", in.readInt(), 1, planes.keyLen, length)
     val b = count("b", in.readInt(), 0, Hashkey.MaxLen, length)
     val r0 = count("r0", in.readInt(), 1, Int.MaxValue, length)
-    val rescaleKeys = in.readBoolean()
 
     val vectors = Array.fill(n)(readFloats(in, dim))
     val globalIds = Array.fill(n)(in.readLong())
 
     val arrays = Array.fill(numKeys)(SortedKeyArray.read(in, n, keyLen))
-    val rescalers = Array.fill(numKeys)(KeyRescaler(in.readLong(), in.readLong(), in.readLong()))
     val rmis = Array.fill(numKeys) {
-      val root = LinearModel(in.readDouble(), in.readDouble())
+      val root = linearModel("root", in, length)
       val w = count("W", in.readInt(), 1, length / 16, length)
-      val leaves = Array.fill(w)(LinearModel(in.readDouble(), in.readDouble()))
-      SimplifiedRMI(root, leaves, in.readLong())
+      SimplifiedRMI(root, Array.fill(w)(linearModel("leaf", in, length)), n.toLong)
     }
 
-    new CoreModel(vectors, globalIds, new ESKLSH(planes.truncate(keyLen), arrays, b), rescalers, rmis, r0, rescaleKeys)
+    new CoreModel(vectors, globalIds, new ESKLSH(planes.truncate(keyLen), arrays, b), rmis, r0)
   }
+
+  private def linearModel(model: String, in: DataInputStream, length: Long): LinearModel =
+    LinearModel(finite(s"$model slope", in.readDouble(), length), finite(s"$model intercept", in.readDouble(), length))
 
   private def writeFloats(out: DataOutputStream, v: Array[Float]): Unit = {
     var j = 0
@@ -140,6 +133,12 @@ object CoreModelCodec {
     val version = in.readInt()
     require(version == Version,
       s"index format version $version is not supported (this build reads version $Version); rebuild the index")
+  }
+
+  private def finite(field: String, value: Double, length: Long): Double = {
+    require(!value.isNaN && !value.isInfinite,
+      s"index field $field = $value is not finite in a file of $length bytes; the file is corrupt")
+    value
   }
 
   private def count(field: String, value: Int, min: Int, max: Long, length: Long): Int = {

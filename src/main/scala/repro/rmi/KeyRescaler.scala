@@ -1,5 +1,7 @@
 package repro.rmi
 
+import repro.esklsh.SortedKeyArray
+
 /** Key re-scaling module (paper §5.1).
   *
   * Step 1 — the binary hashkey is read as a decimal integer (our packed
@@ -23,16 +25,13 @@ final case class KeyRescaler(min: Long, max: Long, arrayLen: Long) {
 }
 
 object KeyRescaler {
-  /** Fits the [min, max] bounds from the (sorted or not) hashkey array. */
-  def fit(keys: Array[Long], arrayLen: Long): KeyRescaler = {
-    require(keys.nonEmpty, "cannot fit rescaler on empty keys")
-    var mn = keys(0); var mx = keys(0)
-    var i = 1
-    while (i < keys.length) {
-      if (keys(i) < mn) mn = keys(i)
-      if (keys(i) > mx) mx = keys(i)
-      i += 1
-    }
-    KeyRescaler(mn, mx, arrayLen)
+
+  /** The re-scaler of a sorted array: its entries are ordered by (key, id),
+    * so the key of entry 0 is the minimum and that of entry n − 1 the
+    * maximum. Nothing about it needs storing beside the array.
+    */
+  def of(arr: SortedKeyArray): KeyRescaler = {
+    require(arr.length > 0, "cannot re-scale the keys of an empty array")
+    KeyRescaler(arr.keyOf(arr.entry(0)), arr.keyOf(arr.entry(arr.length - 1)), arr.length.toLong)
   }
 }

@@ -16,9 +16,7 @@ import repro.linalg.IdOps
   * array, re-scaled monotonically); positions are implicitly `0 … n−1`.
   */
 final case class SimplifiedRMI(root: LinearModel, leaves: Array[LinearModel], n: Long) {
-  /** Raw (unclamped) predicted position — used by the Table 4 ablation to
-    * count out-of-range predictions before truncation.
-    */
+  /** Raw (unclamped) predicted position, which [[predict]] truncates. */
   def predictRaw(key: Double): Double = leaves(SimplifiedRMI.leafOf(root, leaves.length, n, key)).predict(key)
 
   /** Predicted position truncated to `[0, n−1]` (paper §7.4: "RMI will
@@ -35,23 +33,23 @@ object SimplifiedRMI {
 
   /** Trains the two-layer RMI on ascending `keys` with labels `0 … n−1`.
     *
-    * @param width  number of second-layer models (paper's W_c / W_i)
+    * @param width  number of second-layer models (paper's W_c / W_i), at least 1
     * @param useSgd train every linear model by fixed-rate gradient descent
     *               instead of closed-form OLS — the trainer under which the
-    *               paper's key re-scaling ablation (Table 4) is observable;
-    *               see [[LinearModel.fitSGD]]
+    *               paper's key re-scaling ablation (Table 4) is observable,
+    *               and which only that ablation uses; see [[LinearModel.fitSGD]]
     */
   def fit(keys: Array[Double], width: Int, useSgd: Boolean = false): SimplifiedRMI = {
     require(keys.nonEmpty, "RMI needs training keys")
+    require(width >= 1, s"RMI width = $width: an RMI needs at least one second-layer model")
     val n = keys.length
     val positions = Array.tabulate(n)(_.toDouble)
     def train(xs: Array[Double], ys: Array[Double]): LinearModel =
       if (useSgd) LinearModel.fitSGD(xs, ys) else LinearModel.fit(xs, ys)
     val root = train(keys, positions)
-    val w = math.max(1, width)
 
-    val buckets = IdOps.group(Array.tabulate(n)(i => leafOf(root, w, n, keys(i))), w)
-    val leaves = Array.tabulate(w) { j =>
+    val buckets = IdOps.group(Array.tabulate(n)(i => leafOf(root, width, n, keys(i))), width)
+    val leaves = Array.tabulate(width) { j =>
       val idx = buckets(j)
       if (idx.isEmpty) root // unreached leaf: inherit the root model
       else train(idx.map(keys), idx.map(positions))

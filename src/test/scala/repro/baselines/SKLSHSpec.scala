@@ -44,7 +44,7 @@ class SKLSHSpec extends AnyFunSuite {
     // Same array/budget configuration; the core model adds dist_e + parallel
     // expansion + RMI. Compare mean recall over the same query set.
     val cm = CoreModel.build(corpus.vectors, corpus.ids,
-      CoreModelParams(numArrays = 12, keyLen = Some(11), r0 = 3))
+      CoreModelParams(numArrays = 12, r0 = 3)) // M = ceil(log2 1200) = 11, as SK-LSH's
     def mean(f: Array[Float] => Array[Long]): Double = (0 until 40).map { i =>
       val q = corpus.vectors(i * 13 + 7)
       Metrics.recallAt(f(q), flat.search(q, 10).map(_.id), 10)

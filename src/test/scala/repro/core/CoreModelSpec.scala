@@ -87,13 +87,6 @@ class CoreModelSpec extends AnyFunSuite {
     }
   }
 
-  test("rescaleKeys=false trains on raw decimal keys (ablation path)") {
-    val raw = CoreModel.build(corpus.vectors, corpus.ids, CoreModelParams(numArrays = 2, rescaleKeys = false))
-    assert(!raw.rescaleKeys)
-    val key = raw.esklsh.arrays(0).keys(100)
-    assert(raw.rmiKey(0, key) == key.toDouble)
-  }
-
   test("rescaled RMI keys lie in [0, n-1] for training keys") {
     val keys = cm.esklsh.arrays(0).keys
     keys.foreach { k =>
@@ -131,5 +124,15 @@ class CoreModelSpec extends AnyFunSuite {
       assert(e.getMessage.contains(s"r0 = $r0"), e.getMessage)
     }
     assert(CoreModelParams(r0 = 1).r0 == 1)
+  }
+
+  test("CoreModelParams rejects numArrays <= 0 and rmiWidth <= 0, naming each") {
+    for (bad <- Seq(0, -1, Int.MinValue)) {
+      val h = intercept[IllegalArgumentException](CoreModelParams(numArrays = bad))
+      assert(h.getMessage.contains(s"numArrays = $bad"), h.getMessage)
+      val w = intercept[IllegalArgumentException](CoreModelParams(rmiWidth = bad))
+      assert(w.getMessage.contains(s"rmiWidth = $bad"), w.getMessage)
+    }
+    assert(CoreModelParams(numArrays = 1, rmiWidth = 1).numArrays == 1)
   }
 }

@@ -169,7 +169,7 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
   private def withFullCover(l: Lider, k: Int): Lider = {
     val r0 = (l.inClusterRetrievers.map(_.size).max + k - 1) / k
     new Lider(l.centroidsRetriever, l.inClusterRetrievers.map { cm =>
-      new CoreModel(cm.vectors, cm.globalIds, cm.esklsh, cm.rescalers, cm.rmis, r0, cm.rescaleKeys)
+      new CoreModel(cm.vectors, cm.globalIds, cm.esklsh, cm.rmis, r0)
     }, l.params)
   }
 
@@ -286,7 +286,7 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
     val copies = lider.inClusterRetrievers.map { cm =>
       val lsh = repro.lsh.RandomHyperplaneLSH.fromPlanes(cm.esklsh.lsh.planes.map(_.map(_.clone)))
       new CoreModel(cm.vectors, cm.globalIds, new repro.esklsh.ESKLSH(lsh, cm.esklsh.arrays, cm.esklsh.b),
-        cm.rescalers, cm.rmis, cm.r0, cm.rescaleKeys)
+        cm.rmis, cm.r0)
     }
     val loaded = new Lider(lider.centroidsRetriever, copies, params)
     for (i <- 0 until 10; q = corpus.vectors(i * 41))

@@ -16,11 +16,9 @@ class RescalingAblationSpec extends AnyFunSuite {
 
   private def stats(rescale: Boolean): (Int, Int, Int) = {
     // Long hashkeys (capacity-sized, paper §5.1) + the gradient trainer the
-    // re-scaling module exists for; see CoreModelParams.sgdRmi.
-    val cm = CoreModel.build(corpus.vectors, corpus.ids,
-      CoreModelParams(numArrays = 1, keyLen = Some(24), rmiWidth = 5,
-        rescaleKeys = rescale, sgdRmi = true))
-    Table4Experiment.counts(cm, task.queries, k = 10) // scaled k (paper: 100)
+    // re-scaling module exists for; see Table4Experiment.arm.
+    val arm = Table4Experiment.arm(corpus.vectors, rescale, keyLen = 24, rmiWidth = 5)
+    Table4Experiment.counts(arm, task.queries, k = 10) // scaled k (paper: 100)
   }
 
   test("without re-scaling, out-of-range predictions dominate and overlap large errors") {

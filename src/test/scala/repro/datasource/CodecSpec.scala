@@ -43,7 +43,6 @@ class CodecSpec extends AnyFunSuite {
     assert(got.esklsh.keyLen == cm.esklsh.keyLen)
     assert(got.esklsh.b == cm.esklsh.b)
     assert(got.r0 == cm.r0)
-    assert(got.rescaleKeys == cm.rescaleKeys)
   }
 
   test("round-trip preserves vectors and ids bit-exactly") {
@@ -79,14 +78,6 @@ class CodecSpec extends AnyFunSuite {
     }
   }
 
-  test("non-rescaled (ablation) models survive the round-trip") {
-    val raw = CoreModel.build(corpus.vectors, corpus.ids,
-      CoreModelParams(numArrays = 2, rescaleKeys = false))
-    val got = roundTrip(raw)
-    assert(!got.rescaleKeys)
-    assert(got.search(corpus.vectors(0), 5).toSeq == raw.search(corpus.vectors(0), 5).toSeq)
-  }
-
   test("garbage input is rejected by the magic check") {
     val bytes = Array.fill[Byte](64)(42)
     intercept[IllegalArgumentException](decode(bytes))
@@ -106,6 +97,16 @@ class CodecSpec extends AnyFunSuite {
       java.nio.ByteBuffer.wrap(bytes).putInt(at, 2)
       val e = intercept[IllegalArgumentException](decode(bytes))
       assert(e.getMessage.contains("version 2") && e.getMessage.contains("rebuild the index"), e.getMessage)
+    }
+  }
+
+  test("a version-3 plane set or model record fails asking for a rebuild") {
+    // Version 3 stored each array's re-scaler and each RMI's n in the model record.
+    for (at <- Seq(4, planesLen(cm) + 4)) {
+      val bytes = encode(cm)
+      java.nio.ByteBuffer.wrap(bytes).putInt(at, 3)
+      val e = intercept[IllegalArgumentException](decode(bytes))
+      assert(e.getMessage.contains("version 3") && e.getMessage.contains("rebuild the index"), e.getMessage)
     }
   }
 
@@ -157,9 +158,9 @@ class CodecSpec extends AnyFunSuite {
   test("bytes cut off inside the array section raise an exception, never a model") {
     val bytes = encode(cm)
     val (n, dim, esk) = (cm.size, cm.esklsh.lsh.dim, cm.esklsh)
-    val arraysStart = planesLen(cm) + 7 * 4 + 1 + n * dim * 4 + n * 8
+    val arraysStart = planesLen(cm) + 7 * 4 + n * dim * 4 + n * 8
     val ends = esk.arrays.scanLeft(arraysStart.toLong)(_ + _.sizeBytes).map(_.toInt)
-    val tail = cm.rmis.map(r => 16 + 4 + 16 * r.leaves.length + 8).sum + esk.numArrays * 24
+    val tail = cm.rmis.map(r => 16 + 4 + 16 * r.leaves.length).sum
     assert(bytes.length == ends.last + tail, "the layout the cuts are placed by")
     val cuts = ends.init.flatMap(e => Seq(e, e + 1, e + 7, e + 8, e + 13)) :+ (ends.last - 1)
     for (cut <- cuts)
@@ -175,7 +176,6 @@ class CodecSpec extends AnyFunSuite {
     Seq.fill(62)(1f).foreach(out.writeFloat) // planes
     out.write(encode(cm), 0, 8)
     Seq(3, 1, 62, 3, 3).foreach(out.writeInt) // n, H, M, b, r0
-    out.writeBoolean(true)
     Seq(1f, -1f, 0.5f).foreach(out.writeFloat) // vectors
     Seq(0L, 1L, 2L).foreach(out.writeLong) // global ids
     Seq.fill(3)(0L).foreach(out.writeLong) // 3 · 64 bits of entries
@@ -183,13 +183,20 @@ class CodecSpec extends AnyFunSuite {
     assert(e.getMessage.contains("M = 62 does not fit n = 3") && e.getMessage.contains("[1, 61]"), e.getMessage)
   }
 
+  /** The offset of each RMI in `cm`'s encoding: after the plane set, a
+    * header of seven ints, the vectors, the ids and the sorted arrays.
+    */
+  private def rmiStarts: Seq[Int] = {
+    val (n, dim, esk) = (cm.size, cm.esklsh.lsh.dim, cm.esklsh)
+    val rmisStart = planesLen(cm) + 7 * 4 + n * dim * 4 + n * 8 + esk.arrays.map(_.sizeBytes).sum.toInt
+    // Each RMI: root (16 bytes), then W, then W leaves of 16 bytes.
+    cm.rmis.toSeq.scanLeft(rmisStart)((at, r) => at + 16 + 4 + 16 * r.leaves.length).init
+  }
+
   test("a count field set negative or huge fails with an IllegalArgumentException naming it, never a model or an OOM") {
     val bytes = encode(cm)
-    val (n, dim, esk, p) = (cm.size, cm.esklsh.lsh.dim, cm.esklsh, planesLen(cm))
-    val arraysStart = p + 7 * 4 + 1 + n * dim * 4 + n * 8
-    val rmisStart = arraysStart + esk.arrays.map(_.sizeBytes).sum.toInt + esk.numArrays * 24
-    // Each RMI: root (16 bytes), then W, then W leaves of 16 bytes and n.
-    val wAt = cm.rmis.scanLeft(rmisStart)((at, r) => at + 16 + 4 + 16 * r.leaves.length + 8).init.map(_ + 16)
+    val p = planesLen(cm)
+    val wAt = rmiStarts.map(_ + 16)
     // The plane set's dim, H and M, then the model's counts.
     val fields = Seq("dim" -> 8, "H" -> 12, "M" -> 16) ++
       Seq("n" -> (p + 8), "H" -> (p + 12), "M" -> (p + 16), "b" -> (p + 20)) ++ wAt.map("W" -> _)
@@ -211,6 +218,25 @@ class CodecSpec extends AnyFunSuite {
       java.nio.ByteBuffer.wrap(corrupt).putInt(at, bad)
       val e = intercept[IllegalArgumentException](decode(corrupt))
       assert(e.getMessage.contains(s"field r0 = $bad "), e.getMessage)
+    }
+  }
+
+  test("a NaN or infinite RMI slope or intercept fails with an IllegalArgumentException naming it, never a model") {
+    val bytes = encode(cm)
+    val starts = rmiStarts
+    assert(bytes.length == starts.last + 16 + 4 + 16 * cm.rmis.last.leaves.length, "the layout the fields are placed by")
+    // A root is slope then intercept; the first leaf follows W.
+    val fields = Seq(
+      ("leaf slope", starts.head + 20, Double.NaN),
+      ("leaf slope", starts.last + 20 + 16, Double.PositiveInfinity),
+      ("leaf intercept", starts.head + 20 + 8, Double.NegativeInfinity),
+      ("root slope", starts.last, Double.NaN),
+      ("root intercept", starts.head + 8, Double.PositiveInfinity))
+    for ((field, at, bad) <- fields) {
+      val corrupt = bytes.clone()
+      java.nio.ByteBuffer.wrap(corrupt).putDouble(at, bad)
+      val e = intercept[IllegalArgumentException](decode(corrupt))
+      assert(e.getMessage.contains(s"field $field = $bad "), e.getMessage)
     }
   }
 }

@@ -41,13 +41,25 @@ class IndexStoreSpec extends AnyFunSuite {
     assert(repeating._1.numClusters < params.c && plain._1.numClusters == params.c)
   }
 
-  /** Bytes of `cm`'s model record, by the layout: a header of seven ints
-    * and a byte, vectors, ids, sorted arrays, rescalers and RMIs, and no
-    * planes.
+  /** Bytes of `cm`'s model record, by the layout: a header of seven ints,
+    * vectors, ids, sorted arrays and RMIs, and no planes, re-scalers or
+    * RMI n.
     */
   private def modelRecordBytes(cm: CoreModel): Long =
-    7 * 4 + 1 + cm.size.toLong * (cm.esklsh.lsh.dim * 4 + 8) + cm.esklsh.arrays.map(_.sizeBytes).sum +
-      cm.esklsh.numArrays * 24L + cm.rmis.map(r => 16 + 4 + 16L * r.leaves.length + 8).sum
+    7 * 4 + cm.size.toLong * (cm.esklsh.lsh.dim * 4 + 8) + cm.esklsh.arrays.map(_.sizeBytes).sum +
+      cm.rmis.map(r => 16 + 4 + 16L * r.leaves.length).sum
+
+  test("every loaded model derives the built model's re-scalers, and each RMI's n is the model's size") {
+    for (((lider, dir), name) <- Seq(plain -> "plain", repeating -> "repeating")) {
+      val loaded = IndexStore.load(dir)
+      val pairs = (loaded.centroidsRetriever -> lider.centroidsRetriever) +:
+        loaded.inClusterRetrievers.toSeq.zip(lider.inClusterRetrievers)
+      for (((got, built), i) <- pairs.zipWithIndex) {
+        assert(got.rescalers.toSeq == built.rescalers.toSeq, s"$name, model $i")
+        for (h <- got.rmis.indices) assert(got.rmis(h).n == got.size, s"$name, model $i, array $h")
+      }
+    }
+  }
 
   test("a loaded index shares one in-cluster plane set by reference, and its footprint is the built one's") {
     for (((lider, dir), name) <- Seq(plain -> "plain", repeating -> "repeating")) {

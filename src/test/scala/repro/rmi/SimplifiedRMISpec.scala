@@ -77,6 +77,13 @@ class SimplifiedRMISpec extends AnyFunSuite {
     intercept[IllegalArgumentException](SimplifiedRMI.fit(Array.empty[Double], 2))
   }
 
+  test("width <= 0 is rejected, naming it, not clamped to 1") {
+    for (width <- Seq(0, -1, Int.MinValue)) {
+      val e = intercept[IllegalArgumentException](SimplifiedRMI.fit(Array(1.0, 2.0, 3.0), width))
+      assert(e.getMessage.contains(s"width = $width"), e.getMessage)
+    }
+  }
+
   test("routing is stable: same key always reaches the same leaf") {
     val keys = Array.tabulate(100)(i => math.pow(i.toDouble, 1.3))
     val rmi = SimplifiedRMI.fit(keys, 5)
@@ -92,13 +99,12 @@ class SimplifiedRMISpec extends AnyFunSuite {
     def train(xs: Array[Double], ys: Array[Double]): LinearModel =
       if (useSgd) LinearModel.fitSGD(xs, ys) else LinearModel.fit(xs, ys)
     val root = train(keys, positions)
-    val w = math.max(1, width)
-    val buckets = Array.fill(w)(new scala.collection.mutable.ArrayBuffer[Int])
+    val buckets = Array.fill(width)(new scala.collection.mutable.ArrayBuffer[Int])
     for (i <- 0 until n) {
       val p = root.predict(keys(i))
-      buckets(math.min(w - 1, math.max(0, math.floor(p * w / n.toDouble).toInt))) += i
+      buckets(math.min(width - 1, math.max(0, math.floor(p * width / n.toDouble).toInt))) += i
     }
-    val leaves = Array.tabulate(w) { j =>
+    val leaves = Array.tabulate(width) { j =>
       val idx = buckets(j)
       if (idx.isEmpty) root else train(idx.map(keys).toArray, idx.map(positions).toArray)
     }
@@ -120,7 +126,7 @@ class SimplifiedRMISpec extends AnyFunSuite {
       Array(42.0),
       Array.tabulate(100)(i => math.pow(i.toDouble, 1.3)),
       Array.tabulate(300)(i => math.exp(i / 40.0)))
-    for (keys <- inputs; width <- Seq(0, 1, 2, 3, 4, 5, 8, 10, 64); sgd <- Seq(false, true)) {
+    for (keys <- inputs; width <- Seq(1, 2, 3, 4, 5, 8, 10, 64); sgd <- Seq(false, true)) {
       val got = SimplifiedRMI.fit(keys, width, useSgd = sgd)
       val want = referenceFit(keys, width, sgd)
       val clue = s"n = ${keys.length}, width = $width, sgd = $sgd"
