@@ -29,7 +29,7 @@ class KeyRescalerSpec extends AnyFunSuite with PropertySupport {
     assert(r.rescale(100L) == 2.0)
   }
 
-  test("the derived re-scaler equals a min/max scan of the keys, all-equal keys included") {
+  test("fit finds the true min and max") {
     checkProp(Prop.forAll(keysGen)(ks => derived(ks) == scanned(ks)))
   }
 
