@@ -86,9 +86,9 @@ object MultiProbeLSH {
     out.toArray
   }
 
-  /** The tables are ESK-LSH's sorted arrays, as SK-LSH builds them
-    * (`b` is unused by probing). A `keyLen` whose entries exceed 63 bits
-    * ([[repro.esklsh.SortedKeyArray]]) fails before anything is hashed.
+  /** The tables are ESK-LSH's sorted arrays, as SK-LSH builds them. A
+    * `keyLen` whose entries exceed 63 bits ([[repro.esklsh.SortedKeyArray]])
+    * fails before anything is hashed.
     */
   def build(
       vectors: Array[Array[Float]],
@@ -97,5 +97,5 @@ object MultiProbeLSH {
       keyLen: Int,
       probesPerTable: Int,
       seed: Long = 43L): MultiProbeLSH =
-    new MultiProbeLSH(vectors, ids, ESKLSH.build(vectors, numTables, keyLen, 1, seed), probesPerTable)
+    new MultiProbeLSH(vectors, ids, ESKLSH.build(vectors, numTables, keyLen, seed), probesPerTable)
 }

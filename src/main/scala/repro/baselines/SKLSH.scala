@@ -40,15 +40,16 @@ final class SKLSH(
 }
 
 object SKLSH {
+
+  /** Builds the sorted arrays as ESK-LSH does; the original distance
+    * ignores ESK-LSH's window width.
+    */
   def build(
       vectors: Array[Array[Float]],
       ids: Array[Long],
       numArrays: Int,
       keyLen: Int,
       r0: Int = 3,
-      seed: Long = 19L): SKLSH = {
-    // b is irrelevant to the original distance; pass 1 for completeness.
-    val esk = ESKLSH.build(vectors, numArrays, keyLen, 1, seed)
-    new SKLSH(vectors, ids, esk, r0)
-  }
+      seed: Long = 19L): SKLSH =
+    new SKLSH(vectors, ids, ESKLSH.build(vectors, numArrays, keyLen, seed), r0)
 }

@@ -8,19 +8,19 @@ import repro.rmi.{KeyRescaler, SimplifiedRMI}
 final case class Scored(id: Long, score: Double)
 
 /** Parameters of a single core model (paper Fig. 1). Every core model
-  * re-scales its keys (§5.1), fits its RMIs by closed-form OLS and takes
-  * M = ceil(log2 n) (§6, [[ESKLSH.keyLenFor]]); the Table 4 ablation, which
-  * trains on raw keys by gradient descent, builds its own arms
+  * re-scales its keys (§5.1), fits its RMIs by closed-form OLS, takes
+  * M = ceil(log2 n) (§6, [[ESKLSH.keyLenFor]]) and walks by dist_e with
+  * the window width [[ESKLSH.B]] = 3; the Table 4 ablation, which trains
+  * on raw keys by gradient descent, builds its own arms
   * ([[repro.experiments.Table4Experiment.arm]]).
   *
   * @param numArrays   H — number of ESK-LSH sorted arrays (and RMIs)
-  * @param b           B — KD_e window width (paper Eq. 6), C = 2^B
   * @param rmiWidth    W — second-layer models per RMI (paper W_c / W_i)
   * @param r0          expansion factor: per-array range R = r0 · k_m
+  * @param seed        seed of the hyperplanes drawn at build
   */
 final case class CoreModelParams(
     numArrays: Int = 10,
-    b: Int = 3,
     rmiWidth: Int = 5,
     r0: Int = 3,
     seed: Long = 7L) {
@@ -115,7 +115,7 @@ object CoreModel {
     require(vectors.nonEmpty, "core model needs vectors")
     VecOps.requireCorpus(vectors)
     val n = vectors.length
-    val esklsh = ESKLSH.build(vectors, params.numArrays, ESKLSH.keyLenFor(n), params.b, params.seed, sharedLsh)
+    val esklsh = ESKLSH.build(vectors, params.numArrays, ESKLSH.keyLenFor(n), params.seed, sharedLsh)
     val rmis = new Array[SimplifiedRMI](params.numArrays)
     Parallel.foreachRange(params.numArrays) { h =>
       val arr = esklsh.arrays(h)

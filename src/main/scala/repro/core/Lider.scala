@@ -16,16 +16,16 @@ import repro.lsh.RandomHyperplaneLSH
   *                     (paper: H = 10, W_c = 10)
   * @param clusterCore  core-model params of each in-cluster retriever
   *                     (paper: H = 10, W_i = 5)
-  * @param kmeansSample max corpus sample used to *train* the k-means
-  *                     centroids (full corpus is always assigned)
+  * @param seed         seed of the k-means sample and seeding
+  *
+  * k-means trains on at most [[Lider.KMeansSample]] vectors for
+  * [[Lider.KMeansIters]] Lloyd iterations.
   */
 final case class LiderParams(
     c: Int = 1000,
     c0: Int = 20,
     centroidCore: CoreModelParams = CoreModelParams(rmiWidth = 10),
     clusterCore: CoreModelParams = CoreModelParams(rmiWidth = 5),
-    kmeansSample: Int = 100_000,
-    kmeansIters: Int = 12,
     seed: Long = 11L) {
   require(c > 0, s"LiderParams.c (clusters) must be positive, got $c")
   require(c0 > 0, s"LiderParams.c0 (target clusters per query) must be positive, got $c0")
@@ -140,10 +140,22 @@ object Lider {
     */
   val MinParallelWork = 0L
 
+  /** Most corpus vectors k-means trains its centroids on; the whole corpus
+    * is always assigned.
+    */
+  val KMeansSample = 50_000
+
+  /** Lloyd iterations of the k-means stage (fewer if it converges). */
+  val KMeansIters = 10
+
+  /** Vectors per cluster that [[recommendedC]] aims for. */
+  val TargetClusterSize = 200
+
   /** Builds LIDER over normalized corpus embeddings.
     *
-    * Stage 1: k-means (trained on a bounded sample, full parallel
-    * assignment — mirrors the paper's note that FAISS-style accelerated
+    * Stage 1: k-means (trained on a sample of at most [[KMeansSample]]
+    * vectors for [[KMeansIters]] iterations, full parallel assignment,
+    * as FAISS does — mirrors the paper's note that FAISS-style accelerated
     * clustering is acceptable for this stage). Its distance loops are
     * lane-per-pair kernels over transposed double tables, which the JIT
     * vectorises; each lane sums in `VecOps.sqDist`'s order, so the clusters
@@ -170,8 +182,8 @@ object Lider {
     VecOps.requireCorpus(vectors)
 
     val t0 = System.nanoTime()
-    val sample = KMeans.sample(vectors, params.kmeansSample, params.seed)
-    val km = KMeans.fit(sample, params.c, params.kmeansIters, params.seed)
+    val sample = KMeans.sample(vectors, KMeansSample, params.seed)
+    val km = KMeans.fit(sample, params.c, KMeansIters, params.seed)
     val members = IdOps.group(KMeans.assign(km, vectors), km.k)
     val (centroids, clusters) = km.centroids.zip(members).filter(_._2.nonEmpty).unzip
     val t1 = System.nanoTime()
@@ -199,12 +211,11 @@ object Lider {
      BuildStats(t1 - t0, t2 - t1, t3 - t2))
   }
 
-  /** The paper's cluster-count guidance (§7.5): pick c so clusters hold
-    * roughly `targetClusterSize` vectors, floored to keep layer 1
-    * meaningful on tiny corpora.
+  /** The paper's cluster-count guidance (§7.5), at our scale: pick c so
+    * clusters hold roughly [[TargetClusterSize]] vectors, floored to keep
+    * layer 1 meaningful on tiny corpora.
     */
-  def recommendedC(n: Int, targetClusterSize: Int = 200): Int =
-    math.max(10, n / math.max(1, targetClusterSize))
+  def recommendedC(n: Int): Int = math.max(10, n / TargetClusterSize)
 
   /** The paper's c0 guidance (§7.5): c/100 ~ c/50, floored at 3. */
   def recommendedC0(c: Int): Int = math.max(3, c / 50)

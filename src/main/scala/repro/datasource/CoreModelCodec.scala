@@ -23,7 +23,7 @@ import repro.rmi.{LinearModel, SimplifiedRMI}
   * Layouts (big-endian, via DataOutputStream):
   *   plane set:  magic "LIDR", version, dim, H, M,
   *               hyperplanes (H·M·dim floats)
-  *   core model: magic "LIDR", version, n, H, M, b, r0,
+  *   core model: magic "LIDR", version, n, H, M, r0,
   *               vectors (n·dim floats), globalIds (n longs),
   *               per array: its packed (key, local id) words, as
   *                 SortedKeyArray.write writes them,
@@ -32,7 +32,7 @@ import repro.rmi.{LinearModel, SimplifiedRMI}
   */
 object CoreModelCodec {
   private val Magic = 0x4C494452 // "LIDR"
-  private val Version = 4
+  private val Version = 5
   private val PlanesHeaderBytes = 20L
 
   def writePlanes(lsh: RandomHyperplaneLSH, out: DataOutputStream): Unit = {
@@ -66,7 +66,7 @@ object CoreModelCodec {
     out.writeInt(Magic); out.writeInt(Version)
     out.writeInt(n)
     out.writeInt(esk.numArrays); out.writeInt(esk.keyLen)
-    out.writeInt(esk.b); out.writeInt(cm.r0)
+    out.writeInt(cm.r0)
 
     cm.vectors.foreach(writeFloats(out, _))
     var i = 0
@@ -83,7 +83,7 @@ object CoreModelCodec {
 
   /** Reads a model that [[write]] wrote into a file of `length` bytes, over
     * the first M planes per function of `planes`. dim is the set's. Each
-    * count (n, H, M, b and every RMI's W) is checked before anything is
+    * count (n, H, M and every RMI's W) is checked before anything is
     * allocated by it: a count out of its range, which for H is the set's H
     * and for M at most the set's M, or one that sizes a section larger
     * than `length` bytes, fails with an `IllegalArgumentException` naming
@@ -97,7 +97,6 @@ object CoreModelCodec {
     val n = count("n", in.readInt(), 1, length / (4L * dim + 8), length)
     val numKeys = count("H", in.readInt(), planes.numKeys, planes.numKeys, length)
     val keyLen = count("M", in.readInt(), 1, planes.keyLen, length)
-    val b = count("b", in.readInt(), 0, Hashkey.MaxLen, length)
     val r0 = count("r0", in.readInt(), 1, Int.MaxValue, length)
 
     val vectors = Array.fill(n)(readFloats(in, dim))
@@ -110,7 +109,7 @@ object CoreModelCodec {
       SimplifiedRMI(root, Array.fill(w)(linearModel("leaf", in, length)), n.toLong)
     }
 
-    new CoreModel(vectors, globalIds, new ESKLSH(planes.truncate(keyLen), arrays, b), rmis, r0)
+    new CoreModel(vectors, globalIds, new ESKLSH(planes.truncate(keyLen), arrays), rmis, r0)
   }
 
   private def linearModel(model: String, in: DataInputStream, length: Long): LinearModel =

@@ -3,7 +3,7 @@ package repro.datasource
 import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, File, FileInputStream, FileOutputStream}
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
-import repro.core.{CoreModel, Lider, LiderParams}
+import repro.core.{CoreModel, CoreModelParams, Lider, LiderParams}
 import repro.lsh.RandomHyperplaneLSH
 import scala.jdk.CollectionConverters._
 
@@ -49,9 +49,12 @@ object IndexStore {
       writeFile(new File(base, s"clusters/$cid.bin"))(CoreModelCodec.write(lider.inClusterRetrievers(cid), _))
   }
 
-  /** The whole index, every cluster decoded over one plane set. Of
-    * [[LiderParams]] only c and c0 are stored; the build-only fields take
-    * their defaults. A missing file fails with an exception naming it.
+  /** The whole index, every cluster decoded over one plane set. Its
+    * [[LiderParams]] hold the stored c and c0, and each core's H, W and r0
+    * as its models hold them: the centroid model's for `centroidCore`,
+    * cluster 0's for `clusterCore` (every cluster of a built index shares
+    * them). The seeds are build-only, are not stored, and take their
+    * defaults. A missing file fails with an exception naming it.
     */
   def load(dir: String): Lider = {
     val meta = readMeta(dir)
@@ -60,9 +63,14 @@ object IndexStore {
     // file, then fails asking for a rebuild.
     val centroids = loadCentroidModel(dir)
     val planes = loadClusterPlanes(dir)
-    new Lider(centroids, Array.tabulate(c)(loadClusterModel(dir, _, planes)),
-      LiderParams(c = c, c0 = meta("c0").toInt))
+    val clusters = Array.tabulate(c)(loadClusterModel(dir, _, planes))
+    new Lider(centroids, clusters, LiderParams(c = c, c0 = meta("c0").toInt,
+      centroidCore = coreParams(centroids), clusterCore = coreParams(clusters(0))))
   }
+
+  /** The H, W and r0 that `cm` holds. */
+  private def coreParams(cm: CoreModel): CoreModelParams =
+    CoreModelParams(numArrays = cm.esklsh.numArrays, rmiWidth = cm.rmis(0).leaves.length, r0 = cm.r0)
 
   def readMeta(dir: String): Map[String, String] =
     Files.readAllLines(Paths.get(dir, "meta.txt")).asScala

@@ -7,12 +7,13 @@ import repro.lsh.{Hashkey, RandomHyperplaneLSH}
   * `H` sorted hashkey arrays, the extended hashkey distance `dist_e`
   * (Eq. 7), and *parallel, per-array-local* bi-directional expansion
   * (§4.3) instead of the original iterative globally-closest expansion.
+  * The window width of `dist_e` is the constant [[ESKLSH.B]]: it orders
+  * the walk at query time only, and no sorted array depends on it.
   *
   * @param lsh    the base LSH model (H compound functions of length M)
   * @param arrays one sorted array per compound function
-  * @param b      window width B of KD_e (Eq. 6); C = 2^B
   */
-final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArray], val b: Int)
+final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArray])
     extends Serializable {
 
   def numArrays: Int = arrays.length
@@ -41,17 +42,17 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
     // Each frontier's entry is read, and its dist_e computed, once: when that frontier moves.
     var el = if (l >= 0) arr.entry(l) else 0L
     var er = arr.entry(r)
-    var dl = if (l >= 0) Hashkey.distExtended(arr.keyOf(el), queryKey, arr.m, b) else 0.0
-    var dr = Hashkey.distExtended(arr.keyOf(er), queryKey, arr.m, b)
+    var dl = if (l >= 0) Hashkey.distExtended(arr.keyOf(el), queryKey, arr.m, ESKLSH.B) else 0.0
+    var dr = Hashkey.distExtended(arr.keyOf(er), queryKey, arr.m, ESKLSH.B)
     var filled = 0
     while (filled < take) {
       val takeLeft = r >= n || (l >= 0 && dl < dr)
       if (takeLeft) {
         out(filled) = arr.idOf(el); l -= 1
-        if (l >= 0) { el = arr.entry(l); dl = Hashkey.distExtended(arr.keyOf(el), queryKey, arr.m, b) }
+        if (l >= 0) { el = arr.entry(l); dl = Hashkey.distExtended(arr.keyOf(el), queryKey, arr.m, ESKLSH.B) }
       } else {
         out(filled) = arr.idOf(er); r += 1
-        if (r < n) { er = arr.entry(r); dr = Hashkey.distExtended(arr.keyOf(er), queryKey, arr.m, b) }
+        if (r < n) { er = arr.entry(r); dr = Hashkey.distExtended(arr.keyOf(er), queryKey, arr.m, ESKLSH.B) }
       }
       filled += 1
     }
@@ -125,6 +126,9 @@ final class ESKLSH(val lsh: RandomHyperplaneLSH, val arrays: Array[SortedKeyArra
 
 object ESKLSH {
 
+  /** Window width B of KD_e (paper Eq. 6/7), so C = 2^B = 8 windows. */
+  final val B = 3
+
   /** Minimum total expansion steps (arrays × range) before expandAll forks:
     * at ~8 ns a step, 4096 steps are ~30 µs, several times a fork's cost.
     */
@@ -142,7 +146,6 @@ object ESKLSH {
       vectors: Array[Array[Float]],
       numArrays: Int,
       keyLen: Int,
-      b: Int,
       seed: Long,
       sharedLsh: Option[RandomHyperplaneLSH] = None): ESKLSH = {
     require(vectors.nonEmpty, "ESK-LSH needs vectors")
@@ -162,7 +165,7 @@ object ESKLSH {
       while (h < numArrays) { perArrayKeys(h)(i) = ks(h); h += 1 }
     }
     val arrays = Parallel.tabulate(numArrays)(h => SortedKeyArray.build(perArrayKeys(h), keyLen))
-    new ESKLSH(lsh, arrays, b)
+    new ESKLSH(lsh, arrays)
   }
 
   /** Hashkey length rule from the paper (§6): M = ceil(log2 N), floored at

@@ -63,7 +63,7 @@ object Table4Experiment {
     * ([[KeyRescaler.of]]) or raw.
     */
   def arm(vectors: Array[Array[Float]], rescaled: Boolean, keyLen: Int, rmiWidth: Int): Arm =
-    new Arm(ESKLSH.build(vectors, numArrays = 1, keyLen, b = 3, seed = 7), rescaled, rmiWidth)
+    new Arm(ESKLSH.build(vectors, numArrays = 1, keyLen, seed = 7), rescaled, rmiWidth)
 
   final class Arm(val esklsh: ESKLSH, rescaled: Boolean, rmiWidth: Int) {
     private val rescaler = KeyRescaler.of(esklsh.arrays(0))

@@ -1,7 +1,7 @@
 package repro.retrieval
 
 import repro.baselines._
-import repro.core.{AnnIndex, CoreModelParams, Lider, LiderParams}
+import repro.core.{AnnIndex, Lider, LiderParams}
 import repro.esklsh.ESKLSH
 
 /** One evaluation dataset of the paper, at our ×1/100 scale (DESIGN.md §2).
@@ -38,18 +38,12 @@ object Scaled {
 
   /** LIDER params (paper §7.2.1: c = 1000 targeting ~8.8k/cluster,
     * c0 = 20 = c/50, H = 10, W_c = 10, W_i = 5; r0 such that R is a few
-    * times k). We target ~200/cluster at our scale.
+    * times k). We target ~200/cluster at our scale; H, W and r0 = 3 are
+    * [[LiderParams]]' defaults.
     */
   def liderParams(n: Int): LiderParams = {
     val c = Lider.recommendedC(n)
-    LiderParams(
-      c = c,
-      c0 = Lider.recommendedC0(c),
-      centroidCore = CoreModelParams(numArrays = 10, rmiWidth = 10, r0 = 3),
-      clusterCore = CoreModelParams(numArrays = 10, rmiWidth = 5, r0 = 3),
-      kmeansSample = 50_000,
-      kmeansIters = 10,
-    )
+    LiderParams(c = c, c0 = Lider.recommendedC0(c))
   }
 
   /** IVFPQ/IVFPQ-HNSW (paper: C = √N, m = 32, b = 8, p = 500 ≈ C/6). */

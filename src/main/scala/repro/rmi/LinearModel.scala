@@ -10,6 +10,12 @@ final case class LinearModel(slope: Double, intercept: Double) {
 
 object LinearModel {
 
+  /** Full-batch epochs of [[fitSGD]]. */
+  val SgdEpochs = 300
+
+  /** [[fitSGD]]'s fixed learning rate, tuned for re-scaled keys. */
+  val SgdRate = 1e-7
+
   /** Closed-form OLS fit. Degenerate inputs (no x-variance, or fewer than
     * two points) fall back to a constant model at the mean label, which is
     * exactly the best linear predictor in those cases.
@@ -46,20 +52,17 @@ object LinearModel {
     * re-scaled keys (x ∈ [0, L−1]) *diverges* on raw multi-million decimal
     * hashkeys, producing exactly the out-of-range predictions Table 4
     * counts. Divergence is allowed to happen (that is the phenomenon);
-    * the loop only stops early once parameters go non-finite.
+    * the loop only stops early once parameters go non-finite. It runs
+    * [[SgdEpochs]] epochs at the rate [[SgdRate]].
     */
-  def fitSGD(
-      xs: Array[Double],
-      ys: Array[Double],
-      epochs: Int = 300,
-      lr: Double = 1e-7): LinearModel = {
+  def fitSGD(xs: Array[Double], ys: Array[Double]): LinearModel = {
     require(xs.length == ys.length, "xs/ys length mismatch")
     val n = xs.length
     if (n == 0) return LinearModel(0.0, 0.0)
     var a = 0.0; var b = 0.0
     var e = 0
     var finite = true
-    while (e < epochs && finite) {
+    while (e < SgdEpochs && finite) {
       var ga = 0.0; var gb = 0.0
       var i = 0
       while (i < n) {
@@ -68,8 +71,8 @@ object LinearModel {
         gb += err
         i += 1
       }
-      val na = a - lr * 2.0 * ga / n
-      val nb = b - lr * 2.0 * gb / n
+      val na = a - SgdRate * 2.0 * ga / n
+      val nb = b - SgdRate * 2.0 * gb / n
       if (java.lang.Double.isFinite(na) && java.lang.Double.isFinite(nb)) { a = na; b = nb }
       else finite = false
       e += 1

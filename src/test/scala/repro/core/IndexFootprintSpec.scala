@@ -10,7 +10,7 @@ class IndexFootprintSpec extends AnyFunSuite {
   private lazy val corpus = RetrievalData.corpus(1200, 32, seed = 9)
 
   test("esklshBytes counts packed arrays plus hyperplanes") {
-    val e = ESKLSH.build(corpus.vectors, numArrays = 4, keyLen = 10, b = 3, seed = 1)
+    val e = ESKLSH.build(corpus.vectors, numArrays = 4, keyLen = 10, seed = 1)
     val arrays = e.arrays.map(_.sizeBytes).sum
     val planes = 4L * 10 * 32 * 4
     assert(IndexFootprint.esklshBytes(e) == arrays + planes)
@@ -19,7 +19,7 @@ class IndexFootprintSpec extends AnyFunSuite {
   }
 
   test("packed key storage is far below 8 bytes per entry for short keys") {
-    val e = ESKLSH.build(corpus.vectors, numArrays = 1, keyLen = 8, b = 3, seed = 1)
+    val e = ESKLSH.build(corpus.vectors, numArrays = 1, keyLen = 8, seed = 1)
     // 8-bit key + 11-bit id (1,200 entries) ≈ 2.4B per entry (vs 12B
     // unpacked).
     val perEntry = e.arrays(0).sizeBytes.toDouble / corpus.n
@@ -37,8 +37,8 @@ class IndexFootprintSpec extends AnyFunSuite {
   }
 
   test("more arrays cost proportionally more array memory") {
-    val small = ESKLSH.build(corpus.vectors, 4, 10, 3, 1)
-    val big = ESKLSH.build(corpus.vectors, 8, 10, 3, 1)
+    val small = ESKLSH.build(corpus.vectors, 4, 10, 1)
+    val big = ESKLSH.build(corpus.vectors, 8, 10, 1)
     val smallArrays = IndexFootprint.esklshBytes(small, includePlanes = false)
     val bigArrays = IndexFootprint.esklshBytes(big, includePlanes = false)
     assert(bigArrays == 2 * smallArrays)
@@ -48,8 +48,7 @@ class IndexFootprintSpec extends AnyFunSuite {
     val (lider, _) = Lider.build(corpus.vectors, corpus.ids,
       LiderParams(c = 12, c0 = 3,
         centroidCore = CoreModelParams(numArrays = 10, rmiWidth = 4),
-        clusterCore = CoreModelParams(numArrays = 10, rmiWidth = 4),
-        kmeansSample = 1200))
+        clusterCore = CoreModelParams(numArrays = 10, rmiWidth = 4)))
     val sklsh = SKLSH.build(corpus.vectors, corpus.ids, numArrays = 24, keyLen = ESKLSH.keyLenFor(corpus.n))
     val liderB = IndexFootprint.liderBytes(lider)
     val sklshB = IndexFootprint.esklshBytes(sklsh.esklsh)
@@ -58,7 +57,7 @@ class IndexFootprintSpec extends AnyFunSuite {
 
   test("liderBytes counts the in-cluster hyperplanes once (shared planes)") {
     val (lider, _) = Lider.build(corpus.vectors, corpus.ids,
-      LiderParams(c = 6, c0 = 2, kmeansSample = 1200))
+      LiderParams(c = 6, c0 = 2))
     val irs = lider.inClusterRetrievers
     val manual = lider.centroidsRetriever.size.toLong * 32 * 4 +
       IndexFootprint.coreModelBytes(lider.centroidsRetriever) +
@@ -69,7 +68,7 @@ class IndexFootprintSpec extends AnyFunSuite {
 
   test("in-cluster retrievers really share their hyperplane row arrays") {
     val (lider, _) = Lider.build(corpus.vectors, corpus.ids,
-      LiderParams(c = 6, c0 = 2, kmeansSample = 1200))
+      LiderParams(c = 6, c0 = 2))
     val irs = lider.inClusterRetrievers
     assert(irs.length >= 2)
     val a = irs(0).esklsh.lsh.planes(0)(0)

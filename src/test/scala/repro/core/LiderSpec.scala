@@ -12,8 +12,7 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
   private lazy val params = LiderParams(
     c = 20, c0 = 5,
     centroidCore = CoreModelParams(numArrays = 6, rmiWidth = 4, r0 = 3),
-    clusterCore = CoreModelParams(numArrays = 6, rmiWidth = 4, r0 = 3),
-    kmeansSample = 2000, kmeansIters = 8)
+    clusterCore = CoreModelParams(numArrays = 6, rmiWidth = 4, r0 = 3))
   private lazy val (lider, stats) = Lider.build(corpus.vectors, corpus.ids, params)
   private lazy val flat = new Flat(corpus.vectors, corpus.ids)
 
@@ -148,8 +147,7 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
       val data = LiderSpec.repeating(n, dim, distinct, seed)
       val p = LiderParams(c = c, c0 = c0,
         centroidCore = CoreModelParams(numArrays = 3, rmiWidth = 2, r0 = 1),
-        clusterCore = CoreModelParams(numArrays = 3, rmiWidth = 2),
-        kmeansSample = n, kmeansIters = 4, seed = seed)
+        clusterCore = CoreModelParams(numArrays = 3, rmiWidth = 2), seed = seed)
       val built = Lider.build(data, ids(n), p)._1
       val exhaustive = withFullCover(built, k)
       val exact = new Flat(data, ids(n))
@@ -176,7 +174,7 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
   // Six distinct vectors, each 100 times: k-means with c = 12 leaves
   // clusters empty, and build drops them.
   private lazy val dupVectors = LiderSpec.repeating(600, 32, distinct = 6, seed = 5)
-  private lazy val dupParams = params.copy(c = 12, c0 = 4, kmeansSample = 600)
+  private lazy val dupParams = params.copy(c = 12, c0 = 4)
   private lazy val dup = Lider.build(dupVectors, ids(600), dupParams)._1
 
   test("build drops the clusters k-means leaves empty: c′ < c clusters hold every id exactly once") {
@@ -285,7 +283,7 @@ class LiderSpec extends AnyFunSuite with PropertySupport {
   test("clusters whose planes are equal copies, as a loaded index's are, are accepted") {
     val copies = lider.inClusterRetrievers.map { cm =>
       val lsh = repro.lsh.RandomHyperplaneLSH.fromPlanes(cm.esklsh.lsh.planes.map(_.map(_.clone)))
-      new CoreModel(cm.vectors, cm.globalIds, new repro.esklsh.ESKLSH(lsh, cm.esklsh.arrays, cm.esklsh.b),
+      new CoreModel(cm.vectors, cm.globalIds, new repro.esklsh.ESKLSH(lsh, cm.esklsh.arrays),
         cm.rmis, cm.r0)
     }
     val loaded = new Lider(lider.centroidsRetriever, copies, params)

@@ -10,7 +10,7 @@ class CodecSpec extends AnyFunSuite {
 
   private lazy val corpus = RetrievalData.corpus(600, 16, seed = 71)
   private lazy val cm = CoreModel.build(corpus.vectors, corpus.ids,
-    CoreModelParams(numArrays = 5, rmiWidth = 4, b = 3, r0 = 3))
+    CoreModelParams(numArrays = 5, rmiWidth = 4, r0 = 3))
 
   /** The model's plane set, then the model: a centroid_model.bin. */
   private def encode(model: CoreModel): Array[Byte] = {
@@ -41,7 +41,6 @@ class CodecSpec extends AnyFunSuite {
     assert(got.size == cm.size)
     assert(got.esklsh.numArrays == cm.esklsh.numArrays)
     assert(got.esklsh.keyLen == cm.esklsh.keyLen)
-    assert(got.esklsh.b == cm.esklsh.b)
     assert(got.r0 == cm.r0)
   }
 
@@ -110,6 +109,16 @@ class CodecSpec extends AnyFunSuite {
     }
   }
 
+  test("a version-4 plane set or model record fails asking for a rebuild") {
+    // Version 4 stored ESK-LSH's window width b in the model record.
+    for (at <- Seq(4, planesLen(cm) + 4)) {
+      val bytes = encode(cm)
+      java.nio.ByteBuffer.wrap(bytes).putInt(at, 4)
+      val e = intercept[IllegalArgumentException](decode(bytes))
+      assert(e.getMessage.contains("version 4") && e.getMessage.contains("rebuild the index"), e.getMessage)
+    }
+  }
+
   test("a plane set cut at each section boundary raises an EOFException, never a plane set") {
     val bytes = encode(cm).take(planesLen(cm))
     val lsh = cm.esklsh.lsh
@@ -148,7 +157,7 @@ class CodecSpec extends AnyFunSuite {
 
   test("a file with r0 = 2^30 verifies every member at k = 10: R = r0·k does not wrap") {
     val bytes = encode(cm)
-    java.nio.ByteBuffer.wrap(bytes).putInt(planesLen(cm) + 24, 1 << 30)
+    java.nio.ByteBuffer.wrap(bytes).putInt(planesLen(cm) + 20, 1 << 30)
     val got = decode(bytes)
     assert(got.r0 == (1 << 30))
     for (i <- 0 until 20; q = corpus.vectors(i * 7 + 3))
@@ -158,7 +167,7 @@ class CodecSpec extends AnyFunSuite {
   test("bytes cut off inside the array section raise an exception, never a model") {
     val bytes = encode(cm)
     val (n, dim, esk) = (cm.size, cm.esklsh.lsh.dim, cm.esklsh)
-    val arraysStart = planesLen(cm) + 7 * 4 + n * dim * 4 + n * 8
+    val arraysStart = planesLen(cm) + 6 * 4 + n * dim * 4 + n * 8
     val ends = esk.arrays.scanLeft(arraysStart.toLong)(_ + _.sizeBytes).map(_.toInt)
     val tail = cm.rmis.map(r => 16 + 4 + 16 * r.leaves.length).sum
     assert(bytes.length == ends.last + tail, "the layout the cuts are placed by")
@@ -175,7 +184,7 @@ class CodecSpec extends AnyFunSuite {
     Seq(1, 1, 62).foreach(out.writeInt) // dim, H, M
     Seq.fill(62)(1f).foreach(out.writeFloat) // planes
     out.write(encode(cm), 0, 8)
-    Seq(3, 1, 62, 3, 3).foreach(out.writeInt) // n, H, M, b, r0
+    Seq(3, 1, 62, 3).foreach(out.writeInt) // n, H, M, r0
     Seq(1f, -1f, 0.5f).foreach(out.writeFloat) // vectors
     Seq(0L, 1L, 2L).foreach(out.writeLong) // global ids
     Seq.fill(3)(0L).foreach(out.writeLong) // 3 · 64 bits of entries
@@ -184,11 +193,11 @@ class CodecSpec extends AnyFunSuite {
   }
 
   /** The offset of each RMI in `cm`'s encoding: after the plane set, a
-    * header of seven ints, the vectors, the ids and the sorted arrays.
+    * header of six ints, the vectors, the ids and the sorted arrays.
     */
   private def rmiStarts: Seq[Int] = {
     val (n, dim, esk) = (cm.size, cm.esklsh.lsh.dim, cm.esklsh)
-    val rmisStart = planesLen(cm) + 7 * 4 + n * dim * 4 + n * 8 + esk.arrays.map(_.sizeBytes).sum.toInt
+    val rmisStart = planesLen(cm) + 6 * 4 + n * dim * 4 + n * 8 + esk.arrays.map(_.sizeBytes).sum.toInt
     // Each RMI: root (16 bytes), then W, then W leaves of 16 bytes.
     cm.rmis.toSeq.scanLeft(rmisStart)((at, r) => at + 16 + 4 + 16 * r.leaves.length).init
   }
@@ -199,7 +208,7 @@ class CodecSpec extends AnyFunSuite {
     val wAt = rmiStarts.map(_ + 16)
     // The plane set's dim, H and M, then the model's counts.
     val fields = Seq("dim" -> 8, "H" -> 12, "M" -> 16) ++
-      Seq("n" -> (p + 8), "H" -> (p + 12), "M" -> (p + 16), "b" -> (p + 20)) ++ wAt.map("W" -> _)
+      Seq("n" -> (p + 8), "H" -> (p + 12), "M" -> (p + 16)) ++ wAt.map("W" -> _)
     for ((at, w) <- wAt.zip(cm.rmis)) assert(java.nio.ByteBuffer.wrap(bytes).getInt(at) == w.leaves.length)
     for ((field, at) <- fields; bad <- Seq(-1, Int.MinValue, 1 << 20, Int.MaxValue)) {
       val corrupt = bytes.clone()
@@ -211,7 +220,7 @@ class CodecSpec extends AnyFunSuite {
 
   test("a file with r0 <= 0 fails with an IllegalArgumentException naming r0, never a model") {
     val bytes = encode(cm)
-    val at = planesLen(cm) + 24 // the model's r0, after magic, version, n, H, M, b
+    val at = planesLen(cm) + 20 // the model's r0, after magic, version, n, H, M
     assert(java.nio.ByteBuffer.wrap(bytes).getInt(at) == cm.r0)
     for (bad <- Seq(0, -1, Int.MinValue)) {
       val corrupt = bytes.clone()

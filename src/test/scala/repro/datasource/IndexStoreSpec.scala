@@ -10,9 +10,8 @@ class IndexStoreSpec extends AnyFunSuite {
 
   private val params = LiderParams(
     c = 12, c0 = 4,
-    centroidCore = CoreModelParams(numArrays = 5, rmiWidth = 4),
-    clusterCore = CoreModelParams(numArrays = 5, rmiWidth = 4),
-    kmeansSample = 900)
+    centroidCore = CoreModelParams(numArrays = 4, rmiWidth = 3, r0 = 2),
+    clusterCore = CoreModelParams(numArrays = 5, rmiWidth = 4))
 
   private def bits(a: Array[Scored]) = a.map(s => (s.id, java.lang.Double.doubleToRawLongBits(s.score))).toSeq
 
@@ -41,12 +40,24 @@ class IndexStoreSpec extends AnyFunSuite {
     assert(repeating._1.numClusters < params.c && plain._1.numClusters == params.c)
   }
 
-  /** Bytes of `cm`'s model record, by the layout: a header of seven ints,
+  test("a loaded index reports the H, W and r0 of both cores it was built with") {
+    // The cores differ from each other and from the defaults in every field.
+    for (((_, dir), name) <- Seq(plain -> "plain", repeating -> "repeating")) {
+      val loaded = IndexStore.load(dir).params
+      for ((got, built) <- Seq(loaded.centroidCore -> params.centroidCore, loaded.clusterCore -> params.clusterCore)) {
+        assert(got.numArrays == built.numArrays, name)
+        assert(got.rmiWidth == built.rmiWidth, name)
+        assert(got.r0 == built.r0, name)
+      }
+    }
+  }
+
+  /** Bytes of `cm`'s model record, by the layout: a header of six ints,
     * vectors, ids, sorted arrays and RMIs, and no planes, re-scalers or
     * RMI n.
     */
   private def modelRecordBytes(cm: CoreModel): Long =
-    7 * 4 + cm.size.toLong * (cm.esklsh.lsh.dim * 4 + 8) + cm.esklsh.arrays.map(_.sizeBytes).sum +
+    6 * 4 + cm.size.toLong * (cm.esklsh.lsh.dim * 4 + 8) + cm.esklsh.arrays.map(_.sizeBytes).sum +
       cm.rmis.map(r => 16 + 4 + 16L * r.leaves.length).sum
 
   test("every loaded model derives the built model's re-scalers, and each RMI's n is the model's size") {

@@ -17,8 +17,7 @@ class LiderDataSourceSpec extends SparkSpec {
   private lazy val params = LiderParams(
     c = 10, c0 = 3,
     centroidCore = CoreModelParams(numArrays = 5, rmiWidth = 4),
-    clusterCore = CoreModelParams(numArrays = 5, rmiWidth = 4),
-    kmeansSample = 800)
+    clusterCore = CoreModelParams(numArrays = 5, rmiWidth = 4))
   private lazy val built: (Lider, String, String) = {
     import spark.implicits._
     val embPath = s"$tmp/emb.parquet"
@@ -84,7 +83,7 @@ class LiderDataSourceSpec extends SparkSpec {
     val embPath = s"$tmp/dup-emb.parquet"
     vectors.indices.map(i => (i.toLong, vectors(i))).toDF("id", "emb").write.mode("overwrite").parquet(embPath)
     val indexDir = s"$tmp/dup-index"
-    LiderSearch.buildIndex(spark, embPath, indexDir, params.copy(c = 12, c0 = 8, kmeansSample = 600))
+    LiderSearch.buildIndex(spark, embPath, indexDir, params.copy(c = 12, c0 = 8))
     val lider = IndexStore.load(indexDir)
     assert(lider.numClusters < 8, s"c′ = ${lider.numClusters}")
     val rnd = new scala.util.Random(5)

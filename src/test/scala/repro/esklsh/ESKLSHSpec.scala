@@ -22,7 +22,7 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
   private def id(arr: SortedKeyArray, i: Int): Int = arr.idOf(arr.entry(i))
 
   private lazy val data = cluster(600, 24, seed = 1)
-  private lazy val esk = ESKLSH.build(data, numArrays = 8, keyLen = 12, b = 3, seed = 5)
+  private lazy val esk = ESKLSH.build(data, numArrays = 8, keyLen = 12, seed = 5)
 
   test("build creates one sorted array per compound function") {
     assert(esk.numArrays == 8)
@@ -75,7 +75,7 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
     val start = arr.insertionPoint(keys(0))
     val range = 25
     val got = esk.expandOne(0, keys(0), start, range)
-    val gotMax = got.map(id => Hashkey.distExtended(esk.lsh.hash(data(id), 0), keys(0), arr.m, esk.b)).max
+    val gotMax = got.map(id => Hashkey.distExtended(esk.lsh.hash(data(id), 0), keys(0), arr.m, ESKLSH.B)).max
     // The greedy bi-directional walk picks the closer frontier each step, so
     // no candidate outside the window on the skipped side can be strictly
     // closer than every collected one... verify the weaker, exact property:
@@ -120,7 +120,7 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
 
   test("iterative global expansion exhausts tiny corpora gracefully") {
     val tiny = cluster(10, 24, seed = 9)
-    val e = ESKLSH.build(tiny, 4, 6, 3, seed = 4)
+    val e = ESKLSH.build(tiny, 4, 6, seed = 4)
     val keys = e.hashQuery(tiny(0))
     val starts = Array.tabulate(4)(h => e.arrays(h).insertionPoint(keys(h)))
     val got = e.expandIterativeGlobal(keys, starts, 1000)
@@ -149,7 +149,7 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
       val takeLeft =
         if (r >= n) true
         else if (l < 0) false
-        else Hashkey.distExtended(key(arr, l), queryKey, arr.m, e.b) < Hashkey.distExtended(key(arr, r), queryKey, arr.m, e.b)
+        else Hashkey.distExtended(key(arr, l), queryKey, arr.m, ESKLSH.B) < Hashkey.distExtended(key(arr, r), queryKey, arr.m, ESKLSH.B)
       if (takeLeft) { out(filled) = id(arr, l); l -= 1 }
       else { out(filled) = id(arr, r); r += 1 }
     }
@@ -174,16 +174,15 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
       numArrays <- Gen.choose(1, 4)
       // An entry holds the key and ceil(log2 n) id bits in at most 63 bits.
       keyLen <- Gen.choose(1, 63 - math.max(1, 32 - Integer.numberOfLeadingZeros(n - 1)))
-      b <- Gen.choose(1, 4)
       seed <- Gen.choose(0L, 1000L)
       start <- Gen.oneOf(Gen.oneOf(-3, -1, 0, 1, n - 2, n - 1, n, n + 4), Gen.choose(-2, n + 2))
       range <- Gen.oneOf(Gen.choose(1, 8), Gen.choose(1, n + 3))
-    } yield (n, numArrays, keyLen, b, seed, start, range)
-    checkProp(Prop.forAll(gen) { case (n, numArrays, keyLen, b, seed, start, range) =>
+    } yield (n, numArrays, keyLen, seed, start, range)
+    checkProp(Prop.forAll(gen) { case (n, numArrays, keyLen, seed, start, range) =>
       val rnd = new Random(seed)
       val distinctVs = cluster(math.max(1, n / 2), 6, seed)
       val vs = Array.tabulate(n)(i => if (i < distinctVs.length) distinctVs(i) else distinctVs(rnd.nextInt(distinctVs.length)))
-      val e = ESKLSH.build(vs, numArrays, keyLen, b, seed)
+      val e = ESKLSH.build(vs, numArrays, keyLen, seed)
       val keys = e.hashQuery(cluster(1, 6, seed + 1)(0))
       val starts = Array.tabulate(numArrays)(h => if (h == 0) start else e.arrays(h).insertionPoint(keys(h)) + h - 2)
       (0 until numArrays).forall(h =>
@@ -202,12 +201,12 @@ class ESKLSHSpec extends AnyFunSuite with PropertySupport {
 
   test("build rejects keys whose entries exceed 63 bits, naming M and n") {
     // 600 vectors take 10 id bits, so M = 53 is the widest key.
-    val e = intercept[IllegalArgumentException](ESKLSH.build(data, numArrays = 2, keyLen = 54, b = 3, seed = 5))
+    val e = intercept[IllegalArgumentException](ESKLSH.build(data, numArrays = 2, keyLen = 54, seed = 5))
     assert(e.getMessage.contains("M = 54 does not fit n = 600") && e.getMessage.contains("[1, 53]"), e.getMessage)
-    assert(ESKLSH.build(data, numArrays = 2, keyLen = 53, b = 3, seed = 5).arrays.forall(_.length == 600))
+    assert(ESKLSH.build(data, numArrays = 2, keyLen = 53, seed = 5).arrays.forall(_.length == 600))
   }
 
   test("build rejects empty input") {
-    intercept[IllegalArgumentException](ESKLSH.build(Array.empty[Array[Float]], 2, 4, 3, 1))
+    intercept[IllegalArgumentException](ESKLSH.build(Array.empty[Array[Float]], 2, 4, 1))
   }
 }

@@ -36,7 +36,7 @@ class EvalSpec extends AnyFunSuite {
     val task = RetrievalData.pointTask(corpus, 80, seed = 3)
     val (flatMrr, _) = Eval.pointScore(flat, task, 10)
     val (lider, _) = Lider.build(corpus.vectors, corpus.ids,
-      LiderParams(c = 10, c0 = 4, kmeansSample = 1500))
+      LiderParams(c = 10, c0 = 4))
     assert(lider.name == "LIDER")
     val (liderMrr, _) = Eval.pointScore(lider, task, 10)
     assert(liderMrr > flatMrr * 0.5, s"lider=$liderMrr flat=$flatMrr")
